@@ -15,11 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .games import AugmentedState, JointAction, TabularGame, TwoTeamGame, initial_augmented, step
+from .games import (
+    AugmentedState,
+    JointAction,
+    TablePolicyPair,
+    TabularGame,
+    TwoTeamGame,
+    initial_augmented,
+    rollout,
+)
 from .learner import (
     Coordinator,
     ReplayBuffer,
     encode_history,
+    epsilon_at,
+    epsilon_greedy,
     history_feature_dim,
     round_batches,
 )
@@ -192,56 +202,23 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
             for j in range(game.m)
         ]
     agents = pro_agents + ant_agents
+    roles = [("pro", i) for i in range(game.n)] + [("ant", j) for j in range(game.m)]
     buffers = [ReplayBuffer("large", config.buffer_capacity) for _ in agents]
     coordinator = Coordinator(config.updates_per_round)
     policies = IndependentPolicyPair(game, pro_agents, ant_agents)
     rollout_rng = derive_rng(config.seed, "iql-rollout")
     batch_rng = derive_rng(config.seed, "iql-batches")
-    decay_span = max(1, int(round(config.epsilon_decay_fraction * config.episodes)))
     metrics: list[dict] = []
     snapshots: list[tuple[int, object]] = []
     episodes_run = 0
     for episode in range(1, config.episodes + 1):
-        frac = min(1.0, (episode - 1) / decay_span)
-        eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
-        s = game.sample_initial(rollout_rng)
-        aug = initial_augmented(game, s, 1)
-        t = 0
-        while True:
-            pro, ant = [], []
-            for i, agent in enumerate(pro_agents):
-                greedy = int(np.argmax(policies._agent_values(agent, "pro", i, aug)))
-                pro.append(int(rollout_rng.integers(game.pro_action_counts[i])) if rollout_rng.random() < eps else greedy)
-            for j, agent in enumerate(ant_agents):
-                greedy = int(np.argmax(policies._agent_values(agent, "ant", j, aug)))
-                ant.append(int(rollout_rng.integers(game.ant_action_counts[j])) if rollout_rng.random() < eps else greedy)
-            ep_step = step(game, aug, JointAction(tuple(pro), tuple(ant)), rng=rollout_rng, t=t)
-            for k, agent in enumerate(agents):
-                team = "pro" if k < game.n else "ant"
-                idx = k if k < game.n else k - game.n
-                if tab:
-                    rec = (
-                        ep_step.state.state,
-                        ep_step.action.pro[idx] if team == "pro" else ep_step.action.ant[idx],
-                        ep_step.reward,
-                        ep_step.next_state.state,
-                        ep_step.done,
-                    )
-                else:
-                    hist = ep_step.state.pro_histories[idx] if team == "pro" else ep_step.state.ant_histories[idx]
-                    nxt = ep_step.next_state.pro_histories[idx] if team == "pro" else ep_step.next_state.ant_histories[idx]
-                    rec = (
-                        encode_history(game, team, idx, hist),
-                        ep_step.action.pro[idx] if team == "pro" else ep_step.action.ant[idx],
-                        ep_step.reward,
-                        encode_history(game, team, idx, nxt),
-                        ep_step.done,
-                    )
-                buffers[k].add(rec)
-            aug = ep_step.next_state
-            t += 1
-            if ep_step.done:
-                break
+        eps = epsilon_at(config, episode - 1)
+        act = lambda aug: epsilon_greedy(
+            game, JointAction(policies.pro_actions(aug), policies.ant_actions(aug)), eps, rollout_rng
+        )
+        for ep_step in rollout(game, act, rollout_rng):
+            for (team, idx), buffer in zip(roles, buffers):
+                buffer.add(_agent_record(game, ep_step, team, idx, tab))
         size = len(buffers[0])
         batch_size = coordinator.batch_size(size)
         losses = []
@@ -270,6 +247,24 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
     return IndependentTrainResult(policies, metrics, coordinator.rounds, snapshots, episodes_run)
 
 
+def _agent_record(game, ep_step, team: str, idx: int, tabular: bool) -> tuple:
+    """One agent's view of a transition: (input, own action, reward, next input, done)."""
+    cur, nxt = ep_step.state, ep_step.next_state
+    if team == "pro":
+        action, hist, next_hist = ep_step.action.pro[idx], cur.pro_histories[idx], nxt.pro_histories[idx]
+    else:
+        action, hist, next_hist = ep_step.action.ant[idx], cur.ant_histories[idx], nxt.ant_histories[idx]
+    if tabular:
+        return (cur.state, action, ep_step.reward, nxt.state, ep_step.done)
+    return (
+        encode_history(game, team, idx, hist),
+        action,
+        ep_step.reward,
+        encode_history(game, team, idx, next_hist),
+        ep_step.done,
+    )
+
+
 # ---------------------------------------------------------------------------
 # joint tabular minimax Q
 
@@ -286,9 +281,7 @@ class JointMinimaxQLearner:
     def minimax_values(self) -> np.ndarray:
         return self.q.max(axis=1).min(axis=1)
 
-    def policy_pair(self):
-        from .games import TablePolicyPair
-
+    def policy_pair(self) -> TablePolicyPair:
         game = self.game
         col_max = self.q.max(axis=1)
         row_min = self.q.min(axis=2)
@@ -314,6 +307,36 @@ def joint_minimaxq_update(learner: JointMinimaxQLearner, ep_step, alpha: float, 
     target = ep_step.reward + gamma * boot
     learner.q[s, ja, jb] = (1.0 - alpha) * learner.q[s, ja, jb] + alpha * target
     return learner.q
+
+
+def joint_minimax_train(game: TabularGame, config: IndependentQConfig) -> tuple[JointMinimaxQLearner, list]:
+    """Online joint minimax Q with one TD update per environment step.
+
+    Each episode plays the greedy table pair frozen at its start; one draw
+    per step swaps in a uniformly random joint action with probability
+    epsilon. The step size is max(0.05, alpha / (1 + 0.01 * episode)). Reads
+    `episodes`, `alpha`, `seed` and the epsilon schedule from the config.
+    """
+    lrn = JointMinimaxQLearner(game)
+    rng = derive_rng(config.seed, "jminimax")
+    metrics = []
+    for episode in range(1, config.episodes + 1):
+        eps = epsilon_at(config, episode - 1)
+        alpha = max(0.05, config.alpha / (1.0 + 0.01 * episode))
+        pair = lrn.policy_pair()
+
+        def act(aug):
+            if rng.random() < eps:
+                return JointAction(
+                    tuple(int(rng.integers(c)) for c in game.pro_action_counts),
+                    tuple(int(rng.integers(c)) for c in game.ant_action_counts),
+                )
+            return JointAction(pair.pro_actions(aug), pair.ant_actions(aug))
+
+        for ep_step in rollout(game, act, rng):
+            joint_minimaxq_update(lrn, ep_step, alpha, game.gamma)
+        metrics.append({"episode": episode, "loss": 0.0, "epsilon": eps, "buffer_size": 0, "batch_size": 0})
+    return lrn, metrics
 
 
 def joint_minimax_sweeps(

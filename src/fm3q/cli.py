@@ -1,9 +1,10 @@
 """Command-line entry point: train, oracle, eval, ablate.
 
 Configs are JSON; every run directory is self-describing (resolved config
-echo, seed, package version, outputs), and rerunning with the echoed config
-reproduces the outputs byte for byte. Schema problems exit with code 1 and
-name the offending field path; runtime failures exit with code 2.
+echo, seed, package version, outputs). The echo's `config` object is itself
+a valid config, and training from it reproduces the outputs byte for byte.
+Schema problems, unknown keys included, exit with code 1 and name the
+offending field path; runtime failures exit with code 2.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from . import baselines, evaluation, games, learner, oracle
-from .seeding import derive_rng
 
 METRIC_COLUMNS = ("episode", "loss", "epsilon", "buffer_size", "batch_size")
 
@@ -75,24 +75,34 @@ def build_game(spec: dict, path: str = "game") -> games.TwoTeamGame:
     )
 
 
+#: Top-level keys read into the TrainConfig field of the same name, with
+#: their JSON types; defaults are TrainConfig's own.
+TRAIN_KEYS = (
+    ("episodes", int),
+    ("learning_rate", float),
+    ("hidden_layers", list),
+    ("mix_hidden_dim", int),
+    ("updates_per_round", int),
+    ("buffer_mode", str),
+    ("buffer_capacity", int),
+    ("epsilon_start", float),
+    ("epsilon_end", float),
+    ("epsilon_decay_fraction", float),
+    ("history_window", int),
+    ("seed", int),
+    ("checkpoint_every", int),
+    ("eval_every", int),
+)
+
+#: Top-level keys only the command line reads.
+CLI_KEYS = ("game", "method", "alpha", "backend", "buffer_sizes")
+
+
 @dataclass
 class RunConfig:
     game_spec: dict
     method: str
-    episodes: int
-    learning_rate: float = 5e-4
-    hidden_layers: tuple = (64, 64)
-    mix_hidden_dim: int = 32
-    updates_per_round: int = 10
-    buffer_mode: str = "full"
-    buffer_capacity: int | None = None
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.2
-    history_window: int = 1
-    seed: int = 0
-    checkpoint_every: int | None = None
-    eval_every: int | None = None
+    train: learner.TrainConfig
     alpha: float = 0.1
     backend: str = "tabular"
     buffer_sizes: dict | None = None
@@ -102,15 +112,23 @@ class RunConfig:
     def from_document(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError("", "config must be a JSON object")
+        known = {key for key, _ in TRAIN_KEYS} | set(CLI_KEYS)
+        for key in doc:
+            if key not in known:
+                raise ConfigError(key, "unknown field")
         game_spec = _want(doc, "", "game", dict)
         method = _want(doc, "", "method", str, choices={"fm3q", "iql", "jminimax"})
-        episodes = _want(doc, "", "episodes", int)
-        if episodes < 0:
+        defaults = {f.name: f.default for f in fields(learner.TrainConfig)}
+        values = {}
+        for key, kind in TRAIN_KEYS:
+            default = ... if defaults[key] is MISSING else defaults[key]
+            choices = set(learner.ReplayBuffer.MODES) if key == "buffer_mode" else None
+            values[key] = _want(doc, "", key, kind, default, choices)
+        if values["episodes"] < 0:
             raise ConfigError("episodes", "must be nonnegative")
-        eps_end = _want(doc, "", "epsilon_end", float, 0.05)
-        if eps_end <= 0.0:
+        if values["epsilon_end"] <= 0.0:
             raise ConfigError("epsilon_end", "training data must stay exploratory: epsilon must be positive")
-        hidden = _want(doc, "", "hidden_layers", list, [64, 64])
+        values["hidden_layers"] = tuple(values["hidden_layers"])
         sizes = _want(doc, "", "buffer_sizes", dict, None)
         if sizes is not None:
             for key in ("small", "large", "full"):
@@ -123,20 +141,7 @@ class RunConfig:
         return cls(
             game_spec=game_spec,
             method=method,
-            episodes=episodes,
-            learning_rate=_want(doc, "", "learning_rate", float, 5e-4),
-            hidden_layers=tuple(hidden),
-            mix_hidden_dim=_want(doc, "", "mix_hidden_dim", int, 32),
-            updates_per_round=_want(doc, "", "updates_per_round", int, 10),
-            buffer_mode=_want(doc, "", "buffer_mode", str, "full", choices=set(learner.ReplayBuffer.MODES)),
-            buffer_capacity=_want(doc, "", "buffer_capacity", int, None),
-            epsilon_start=_want(doc, "", "epsilon_start", float, 1.0),
-            epsilon_end=eps_end,
-            epsilon_decay_fraction=_want(doc, "", "epsilon_decay_fraction", float, 0.2),
-            history_window=_want(doc, "", "history_window", int, 1),
-            seed=_want(doc, "", "seed", int, 0),
-            checkpoint_every=_want(doc, "", "checkpoint_every", int, None),
-            eval_every=_want(doc, "", "eval_every", int, None),
+            train=learner.TrainConfig(**values),
             alpha=_want(doc, "", "alpha", float, 0.1),
             backend=_want(doc, "", "backend", str, "tabular", choices={"tabular", "neural"}),
             buffer_sizes=sizes,
@@ -145,27 +150,25 @@ class RunConfig:
 
     def echo_document(self) -> dict:
         doc = dict(self.raw)
-        doc.setdefault("epsilon_end", self.epsilon_end)
-        doc.setdefault("seed", self.seed)
+        doc.setdefault("epsilon_end", self.train.epsilon_end)
+        doc.setdefault("seed", self.train.seed)
         return {"package_version": __version__, "config": doc}
 
-    def train_config(self) -> learner.TrainConfig:
-        return learner.TrainConfig(
-            episodes=self.episodes,
-            updates_per_round=self.updates_per_round,
-            buffer_mode=self.buffer_mode,
-            buffer_capacity=self.buffer_capacity,
-            learning_rate=self.learning_rate,
-            hidden_layers=self.hidden_layers,
-            mix_hidden_dim=self.mix_hidden_dim,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            epsilon_decay_fraction=self.epsilon_decay_fraction,
-            history_window=self.history_window,
-            seed=self.seed,
-            checkpoint_every=self.checkpoint_every,
-            eval_every=self.eval_every,
-        )
+    def baseline_config(self) -> baselines.IndependentQConfig:
+        """The IQL and joint minimax settings: every TrainConfig value the
+        baselines share, with a 5000-step per-agent buffer by default."""
+        shared = {f.name for f in fields(baselines.IndependentQConfig)} & set(vars(self.train))
+        values = {name: getattr(self.train, name) for name in shared}
+        values["buffer_capacity"] = self.train.buffer_capacity or 5000
+        return baselines.IndependentQConfig(**values, backend=self.backend, alpha=self.alpha)
+
+
+def _load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
+    config = RunConfig.from_document(_load_json(path))
+    if seed_override is not None:
+        config.train.seed = seed_override
+        config.raw["seed"] = seed_override
+    return config
 
 
 def write_metrics_csv(path: str, metrics: list[dict]) -> None:
@@ -208,107 +211,50 @@ def _tabular_eval_fn(game, tol: float = 1e-8):
     return eval_fn
 
 
+def _write_state_tables(ckpt_dir: str, pair, game, method: str, episode: int, seed: int) -> None:
+    pro, ant = pair.state_tables(game)
+    doc = {
+        "version": 1,
+        "kind": "state_tables",
+        "method": method,
+        "episode": episode,
+        "seed": seed,
+        "pro": pro.tolist(),
+        "ant": ant.tolist(),
+    }
+    _write_json(os.path.join(ckpt_dir, f"ckpt_ep{episode:06d}.json"), doc)
+
+
 def cmd_train(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
-    config = RunConfig.from_document(_load_json(config_path))
-    if seed_override is not None:
-        config.seed = seed_override
-        config.raw["seed"] = seed_override
+    config = _load_run_config(config_path, seed_override)
+    seed = config.train.seed
     game = build_game(config.game_spec)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"), config.echo_document())
-    eval_fn = _tabular_eval_fn(game) if config.eval_every else None
+    eval_fn = _tabular_eval_fn(game) if config.train.eval_every else None
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     if config.method == "fm3q":
-        result = learner.train(game, config.train_config(), eval_fn=eval_fn)
+        result = learner.train(game, config.train, eval_fn=eval_fn)
         metrics = result.metrics
         os.makedirs(ckpt_dir, exist_ok=True)
         snapshots = result.snapshots or [(result.episodes_run, result.fq.params.copy())]
         for episode, params in snapshots:
             doc = learner.checkpoint_document(
-                result.fq.with_params(params), episode=episode, method="fm3q", seed=config.seed
+                result.fq.with_params(params), episode=episode, method="fm3q", seed=seed
             )
             _write_json(os.path.join(ckpt_dir, f"ckpt_ep{episode:06d}.json"), doc)
     elif config.method == "iql":
-        iql_config = baselines.IndependentQConfig(
-            episodes=config.episodes,
-            updates_per_round=config.updates_per_round,
-            buffer_capacity=config.buffer_capacity or 5000,
-            backend=config.backend,
-            alpha=config.alpha,
-            learning_rate=config.learning_rate,
-            hidden_layers=config.hidden_layers,
-            epsilon_start=config.epsilon_start,
-            epsilon_end=config.epsilon_end,
-            epsilon_decay_fraction=config.epsilon_decay_fraction,
-            seed=config.seed,
-            checkpoint_every=config.checkpoint_every,
-            eval_every=config.eval_every,
-        )
-        result = baselines.selfplay_independent_train(game, iql_config, eval_fn=eval_fn)
+        result = baselines.selfplay_independent_train(game, config.baseline_config(), eval_fn=eval_fn)
         metrics = result.metrics
         os.makedirs(ckpt_dir, exist_ok=True)
         if getattr(game, "is_tabular", False):
-            pro, ant = result.policies.state_tables(game)
-            doc = {
-                "version": 1,
-                "kind": "state_tables",
-                "method": "iql",
-                "episode": result.episodes_run,
-                "seed": config.seed,
-                "pro": pro.tolist(),
-                "ant": ant.tolist(),
-            }
-            _write_json(os.path.join(ckpt_dir, f"ckpt_ep{result.episodes_run:06d}.json"), doc)
+            _write_state_tables(ckpt_dir, result.policies, game, "iql", result.episodes_run, seed)
     else:
-        metrics = _train_joint_minimax(game, config, ckpt_dir)
+        lrn, metrics = baselines.joint_minimax_train(game, config.baseline_config())
+        os.makedirs(ckpt_dir, exist_ok=True)
+        _write_state_tables(ckpt_dir, lrn.policy_pair(), game, "jminimax", config.train.episodes, seed)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
     return 0
-
-
-def _train_joint_minimax(game, config: RunConfig, ckpt_dir: str) -> list[dict]:
-    if not getattr(game, "is_tabular", False):
-        raise ValueError("the joint minimax baseline needs a tabular game")
-    lrn = baselines.JointMinimaxQLearner(game)
-    rng = derive_rng(config.seed, "jminimax")
-    metrics = []
-    for episode in range(1, config.episodes + 1):
-        span = max(1, int(round(config.epsilon_decay_fraction * config.episodes)))
-        frac = min(1.0, (episode - 1) / span)
-        eps = config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
-        alpha = max(0.05, config.alpha / (1.0 + 0.01 * episode))
-        s = game.sample_initial(rng)
-        aug = games.initial_augmented(game, s, 1)
-        pair = lrn.policy_pair()
-        t = 0
-        while True:
-            if rng.random() < eps:
-                pro = tuple(int(rng.integers(c)) for c in game.pro_action_counts)
-                ant = tuple(int(rng.integers(c)) for c in game.ant_action_counts)
-            else:
-                pro = pair.pro_actions(aug)
-                ant = pair.ant_actions(aug)
-            ep_step = games.step(game, aug, games.JointAction(pro, ant), rng=rng, t=t)
-            baselines.joint_minimaxq_update(lrn, ep_step, alpha, game.gamma)
-            aug = ep_step.next_state
-            t += 1
-            if ep_step.done:
-                break
-        metrics.append(
-            {"episode": episode, "loss": 0.0, "epsilon": eps, "buffer_size": 0, "batch_size": 0}
-        )
-    os.makedirs(ckpt_dir, exist_ok=True)
-    pro, ant = lrn.policy_pair().state_tables(game)
-    doc = {
-        "version": 1,
-        "kind": "state_tables",
-        "method": "jminimax",
-        "episode": config.episodes,
-        "seed": config.seed,
-        "pro": pro.tolist(),
-        "ant": ant.tolist(),
-    }
-    _write_json(os.path.join(ckpt_dir, f"ckpt_ep{config.episodes:06d}.json"), doc)
-    return metrics
 
 
 def cmd_oracle(game_path: str, tol: float, out_dir: str) -> int:
@@ -379,16 +325,13 @@ def cmd_eval(checkpoints_dir: str, game_path: str, mode: str, out_dir: str, tol:
 
 
 def cmd_ablate(config_path: str, out_dir: str, seed_override: int | None = None) -> int:
-    config = RunConfig.from_document(_load_json(config_path))
-    if seed_override is not None:
-        config.seed = seed_override
-        config.raw["seed"] = seed_override
+    config = _load_run_config(config_path, seed_override)
     if config.buffer_sizes is None:
         raise ConfigError("buffer_sizes", "missing required field")
     game = build_game(config.game_spec)
-    train_config = config.train_config()
+    train_config = config.train
     if train_config.checkpoint_every is None:
-        train_config.checkpoint_every = max(1, config.episodes // 5)
+        train_config = replace(train_config, checkpoint_every=max(1, train_config.episodes // 5))
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"), config.echo_document())
     report = evaluation.ablate_buffer(game, config.buffer_sizes, train_config)

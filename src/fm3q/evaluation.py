@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .games import TwoTeamGame, TabularGame, initial_augmented, step
+from .games import JointAction, TwoTeamGame, TabularGame, rollout
 from .learner import GreedyPolicyPair, TrainConfig, train
 from .oracle import joint_policies_from_pair, nashconv_of_pair, policy_value
 from .seeding import derive_rng
@@ -54,26 +54,30 @@ class MatchResult:
 
 def play_match(game: TwoTeamGame, pro_policy, ant_policy, episodes: int, rng: np.random.Generator) -> MatchResult:
     """Deterministic-policy episodes; returns are discounted with the game's
-    own discount so tabular results line up with the exact values."""
+    own discount so tabular results line up with the exact values.
+
+    Episodes carry the history window the policies declare (`window`);
+    policies without one, such as bots and tables, play at any window.
+    """
+    window = _match_window(pro_policy, ant_policy)
+    act = lambda aug: JointAction(tuple(pro_policy.pro_actions(aug)), tuple(ant_policy.ant_actions(aug)))
     returns = np.zeros(episodes)
     for ep in range(episodes):
-        s = game.sample_initial(rng)
-        aug = initial_augmented(game, s, 1)
         total = 0.0
         discount = 1.0
-        t = 0
-        while True:
-            pro = pro_policy.pro_actions(aug)
-            ant = ant_policy.ant_actions(aug)
-            ep_step = step(game, aug, pro, ant, rng=rng, t=t)
+        for ep_step in rollout(game, act, rng, window):
             total += discount * ep_step.reward
             discount *= game.gamma
-            aug = ep_step.next_state
-            t += 1
-            if ep_step.done:
-                break
         returns[ep] = total
     return MatchResult(returns, episodes)
+
+
+def _match_window(pro_policy, ant_policy) -> int:
+    """The one history window both sides of a match can play at."""
+    pro, ant = (getattr(policy, "window", None) for policy in (pro_policy, ant_policy))
+    if None not in (pro, ant) and pro != ant:
+        raise ValueError(f"the Pro side reads window-{pro} histories but the Ant side reads window-{ant}")
+    return pro or ant or 1
 
 
 def exact_match_value(game: TabularGame, pro_policy, ant_policy) -> float:
@@ -91,7 +95,11 @@ def exact_match_value(game: TabularGame, pro_policy, ant_policy) -> float:
 
 
 def _supports_exact(game, policies) -> bool:
-    return getattr(game, "is_tabular", False) and hasattr(policies, "state_tables")
+    return (
+        getattr(game, "is_tabular", False)
+        and hasattr(policies, "state_tables")
+        and getattr(policies, "window", 1) == 1
+    )
 
 
 @dataclass

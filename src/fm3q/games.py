@@ -674,23 +674,15 @@ def initial_augmented(game: TwoTeamGame, s, window: int = 1) -> AugmentedState:
 def step(
     game: TwoTeamGame,
     s_aug: AugmentedState,
-    a: JointAction,
-    b=None,
-    rng: np.random.Generator | None = None,
+    action: JointAction,
+    rng: np.random.Generator,
     t: int = 0,
 ) -> EpisodeStep:
     """Advance one step: sample the successor, pay the reward, roll windows.
 
-    Accepts either a JointAction in `a` or separate pro/ant tuples in (a, b).
     `t` is the zero-based step index inside the episode and fixes the done
     flag at the horizon.
     """
-    if b is None:
-        action = a
-    else:
-        action = JointAction(tuple(a), tuple(b))
-    if rng is None:
-        raise ValueError("step requires an rng")
     s = s_aug.state
     states, probs = game.transition_dist(s, action.pro, action.ant)
     if len(states) == 1:
@@ -714,6 +706,24 @@ def step(
     next_aug = AugmentedState(pro, ant, s_next)
     done = (t + 1 >= game.horizon) or game.is_terminal(s_next)
     return EpisodeStep(s_aug, action, r, next_aug, done)
+
+
+def rollout(game: TwoTeamGame, act, rng: np.random.Generator, window: int = 1):
+    """Play one episode and yield each EpisodeStep until done.
+
+    The initial state and every successor are sampled from `rng`.
+    `act(aug_state) -> JointAction` chooses each joint action and makes any
+    random draws of its own, so every caller keeps its own draw order.
+    """
+    aug = initial_augmented(game, game.sample_initial(rng), window)
+    t = 0
+    while True:
+        ep_step = step(game, aug, act(aug), rng=rng, t=t)
+        yield ep_step
+        if ep_step.done:
+            return
+        aug = ep_step.next_state
+        t += 1
 
 
 # ---------------------------------------------------------------------------

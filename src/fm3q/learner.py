@@ -26,18 +26,18 @@ import numpy as np
 
 from . import numerics as nm
 from .games import (
+    JOINT_ACTION_GUARD,
     AugmentedState,
     EpisodeStep,
     JointAction,
     TwoTeamGame,
     TabularGame,
     initial_augmented,
-    step,
+    rollout,
 )
 from .seeding import derive_rng
 
 IGMM_VALUE_TOL = 1e-9
-IGMM_ENUM_GUARD = 10_000
 
 
 class CoverageError(ValueError):
@@ -156,10 +156,6 @@ class ReplayBuffer:
         self._records.append(record)
         if self.capacity is not None and len(self._records) > self.capacity:
             del self._records[: len(self._records) - self.capacity]
-
-    def extend(self, records) -> None:
-        for r in records:
-            self.add(r)
 
     def take(self, indices) -> list:
         return [self._records[i] for i in indices]
@@ -454,7 +450,7 @@ def joint_q_matrix(fq, s_aug: AugmentedState) -> np.ndarray:
     """Q_tot over the whole joint action space at one state, shape (JA, JB)."""
     game = fq.game
     ja, jb = game.pro_joint_count, game.ant_joint_count
-    if ja * jb > IGMM_ENUM_GUARD:
+    if ja * jb > JOINT_ACTION_GUARD:
         raise ValueError("joint action space exceeds the enumeration guard")
     if fq.backend == "tabular":
         return fq.q_tot_table()[s_aug.state]
@@ -485,9 +481,8 @@ class MixForward:
         return self.params.grad()
 
 
-def mix_forward(fq, s_aug: AugmentedState, a, b=None) -> MixForward:
+def mix_forward(fq, s_aug: AugmentedState, action: JointAction) -> MixForward:
     """Evaluate Q_tot at one joint action; neural models also get a tape."""
-    action = a if isinstance(a, JointAction) else JointAction(tuple(a), tuple(b))
     game = fq.game
     if fq.backend == "tabular":
         value = fq.q_tot_table()[
@@ -655,18 +650,24 @@ def loss(fq: NeuralFactorizedQ, fq_target, batch: list[StepRecord], exhaustive_c
 
 def select_actions(fq, s_aug: AugmentedState, epsilon: float, rng: np.random.Generator) -> JointAction:
     """Independent per-agent epsilon-greedy selection: the individual argmax
-    with probability eps/|A| + 1 - eps, every other action with eps/|A|."""
+    with probability eps/|A| + 1 - eps, every other action with eps/|A|.
+    At epsilon 0 it makes no draws."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    game = fq.game
-    greedy_pro, greedy_ant = greedy_individual(fq, s_aug)
+    greedy = JointAction(*greedy_individual(fq, s_aug))
+    if epsilon == 0.0:
+        return greedy
+    return epsilon_greedy(fq.game, greedy, epsilon, rng)
+
+
+def epsilon_greedy(game: TwoTeamGame, greedy: JointAction, epsilon: float, rng: np.random.Generator) -> JointAction:
+    """Per agent, Pro team first: one uniform draw, and with probability
+    epsilon a second draw that replaces the greedy action."""
     pro = tuple(
-        int(rng.integers(game.pro_action_counts[i])) if epsilon > 0.0 and rng.random() < epsilon else g
-        for i, g in enumerate(greedy_pro)
+        int(rng.integers(c)) if rng.random() < epsilon else g for g, c in zip(greedy.pro, game.pro_action_counts)
     )
     ant = tuple(
-        int(rng.integers(game.ant_action_counts[j])) if epsilon > 0.0 and rng.random() < epsilon else g
-        for j, g in enumerate(greedy_ant)
+        int(rng.integers(c)) if rng.random() < epsilon else g for g, c in zip(greedy.ant, game.ant_action_counts)
     )
     return JointAction(pro, ant)
 
@@ -681,6 +682,10 @@ class GreedyPolicyPair:
     def __init__(self, fq, epsilon: float = 0.0):
         self.fq = fq
         self.epsilon = float(epsilon)
+
+    @property
+    def window(self) -> int:
+        return self.fq.window
 
     def pro_actions(self, s_aug: AugmentedState, rng: np.random.Generator | None = None):
         return self._act(s_aug, rng).pro
@@ -698,6 +703,11 @@ class GreedyPolicyPair:
 
     def state_tables(self, game: TabularGame):
         """Explicit per-state actions (tabular games, window 1)."""
+        if self.window > 1:
+            raise ValueError(
+                f"a window-{self.window} policy acts on observation histories, not states; "
+                "it has no per-state action table"
+            )
         pro = np.zeros((game.n, game.n_states), dtype=np.int64)
         ant = np.zeros((game.m, game.n_states), dtype=np.int64)
         for s in range(game.n_states):
@@ -862,7 +872,8 @@ class TrainConfig:
 
 def epsilon_at(config: TrainConfig, episode_index: int) -> float:
     """Linear decay from start to end over the first decay fraction of the
-    planned episodes, constant afterwards."""
+    planned episodes, constant afterwards. Reads only `episodes` and the
+    `epsilon_*` fields, so the baselines' configs share this one schedule."""
     decay_span = max(1, int(round(config.epsilon_decay_fraction * config.episodes)))
     frac = min(1.0, episode_index / decay_span)
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
@@ -908,17 +919,9 @@ def train(game: TwoTeamGame, config: TrainConfig, eval_fn=None) -> TrainResult:
     episodes_run = 0
     for episode in range(1, config.episodes + 1):
         eps = epsilon_at(config, episode - 1)
-        s = game.sample_initial(rollout_rng)
-        aug = initial_augmented(game, s, config.history_window)
-        t = 0
-        while True:
-            action = select_actions(fq, aug, eps, rollout_rng)
-            ep_step = step(game, aug, action, rng=rollout_rng, t=t)
+        act = lambda aug: select_actions(fq, aug, eps, rollout_rng)
+        for ep_step in rollout(game, act, rollout_rng, config.history_window):
             buffer.add(encode_step(game, ep_step))
-            aug = ep_step.next_state
-            t += 1
-            if ep_step.done:
-                break
         size = len(buffer)
         batch_size = coordinator.batch_size(size)
         losses = []

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import json
 import os
 
@@ -253,3 +254,50 @@ def test_eval_skips_unloadable_checkpoints_with_a_warning(tmp_path, capsys, sadd
                  "--mode", "nashconv", "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "skipping" in err and "broken.json" in err
+
+
+def test_unknown_top_level_key_is_a_schema_error(tmp_path, capsys):
+    path = smoke_config(tmp_path, learning_rte=0.01)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "learning_rte" in capsys.readouterr().err
+
+
+def test_echoed_config_is_accepted_and_reproduces_the_run(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--config", smoke_config(tmp_path, episodes=2), "--out", str(out_a)]) == 0
+    echoed = json.loads((out_a / "config.json").read_text())["config"]
+    path = write_json(tmp_path / "echoed.json", echoed)
+    assert main(["train", "--config", path, "--out", str(out_b)]) == 0
+    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+
+#: sha256 of metrics.csv and of the one checkpoint for each baseline at the
+#: configs below; any change to a baseline's arithmetic or draw order shows.
+BASELINE_GOLDEN = {
+    "iql": (
+        "4ba3473863740bfc08efdcda37b51fec36f2cdd23bf24550c886ab1205bc51ee",
+        "8141b32839bde8070ddd79fb76d81e67976fcb3af17979f4538aa2b0e2332004",
+    ),
+    "jminimax": (
+        "48192442b61e308b20830e27eea62851c80b26a3abb9a3530360886de46e3abd",
+        "f06246fd4605742376db8b1ae2b33a3ac6c544beff0eee64169fc0f6fd1d45a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BASELINE_GOLDEN))
+def test_baseline_outputs_match_their_golden_hashes(tmp_path, method):
+    game = {"kind": "random_deterministic", "seed": 2, "n_states": 3, "n": 2, "m": 1,
+            "actions_per_agent": 2, "gamma": 0.7, "horizon": 5}
+    settings = {
+        "iql": {"episodes": 20, "alpha": 0.2, "eval_every": 5, "buffer_capacity": 30, "seed": 2},
+        "jminimax": {"episodes": 30, "alpha": 0.5, "epsilon_decay_fraction": 0.5, "seed": 9},
+    }[method]
+    path = write_json(tmp_path / "config.json", {"game": game, "method": method, **settings})
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    (ckpt,) = sorted((out / "checkpoints").iterdir())
+    digests = tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in (out / "metrics.csv", ckpt)
+    )
+    assert digests == BASELINE_GOLDEN[method]

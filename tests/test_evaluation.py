@@ -6,7 +6,7 @@ import pytest
 from fm3q import evaluation, games, oracle
 from fm3q.evaluation import Checkpoint, ablate_buffer, optimization_trend, play_match, round_robin
 from fm3q.games import TablePolicyPair
-from fm3q.learner import TrainConfig
+from fm3q.learner import GreedyPolicyPair, TrainConfig, build_neural_fq, train
 
 
 def const_pair(pro_actions, ant_actions, n_states=1):
@@ -176,3 +176,31 @@ def test_ablation_produces_curves_tables_and_ordering_flag():
     for points in report.curves.values():
         for p in points:
             assert 0.0 <= p["value"] <= 1.0
+
+
+def test_window_two_checkpoints_play_matches_and_round_robins():
+    g = games.random_tabular_game(seed=4, n_states=3, n=1, m=1, actions_per_agent=2,
+                                  gamma=0.9, horizon=6)
+    result = train(g, TrainConfig(episodes=3, hidden_layers=(8,), mix_hidden_dim=4,
+                                  history_window=2, checkpoint_every=1, seed=2))
+    pairs = [GreedyPolicyPair(result.fq.with_params(p)) for _, p in result.snapshots]
+    assert pairs[0].window == 2
+    match = play_match(g, pairs[0], pairs[-1], episodes=2, rng=np.random.default_rng(0))
+    assert match.pro_returns.shape == (2,)
+    # a window-free scripted bot plays at the model's window
+    play_match(g, pairs[0], games.myopic_bot_pair(g), episodes=1, rng=np.random.default_rng(0))
+    ckpts = [Checkpoint("fm3q", ep, 2, pair) for (ep, _), pair in zip(result.snapshots, pairs)]
+    # history policies have no per-state table, so the tournament samples
+    table, _, _ = round_robin(ckpts, g, episodes_per_pair=2)
+    assert table.matches[0, 1] == 4
+    with pytest.raises(ValueError, match="window-2"):
+        pairs[0].state_tables(g)
+
+
+def test_match_refuses_policies_with_different_windows():
+    g = games.random_tabular_game(seed=4, n_states=3, n=1, m=1, actions_per_agent=2,
+                                  gamma=0.9, horizon=6)
+    wide = GreedyPolicyPair(build_neural_fq(g, hidden_layers=(4,), mix_hidden_dim=2, window=2))
+    narrow = GreedyPolicyPair(build_neural_fq(g, hidden_layers=(4,), mix_hidden_dim=2, window=1))
+    with pytest.raises(ValueError, match="window-2.*window-1"):
+        play_match(g, wide, narrow, episodes=1, rng=np.random.default_rng(0))

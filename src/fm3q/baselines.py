@@ -27,6 +27,7 @@ from .games import (
 from .learner import (
     Coordinator,
     ReplayBuffer,
+    check_exploration,
     encode_history,
     epsilon_at,
     epsilon_greedy,
@@ -60,8 +61,7 @@ class IndependentQConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "tabular" and not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not 0.0 < self.epsilon_end <= 1.0:
-            raise ValueError("exploration must stay strictly positive")
+        check_exploration(self)
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be positive")
 
@@ -78,8 +78,10 @@ class _TabularAgent:
     def values(self, s: int) -> np.ndarray:
         return self.q[s]
 
-    def update_batch(self, records, gamma: float):
-        for s, a, r, s_next, done in records:
+    def update_batch(self, batch, gamma: float):
+        """Sequential TD steps over the rows of a `Batch`."""
+        columns = (batch.obs, batch.action, batch.reward, batch.next_obs, batch.done)
+        for s, a, r, s_next, done in zip(*(c.tolist() for c in columns)):
             boot = 0.0 if done else float(self.target[s_next].max())
             target = self.sign * r + gamma * boot
             self.q[s, a] += self.alpha * (target - self.q[s, a])
@@ -108,18 +110,13 @@ class _NeuralAgent:
     def values(self, obs_vec: np.ndarray) -> np.ndarray:
         return self.net.forward(self.layout, self.params, obs_vec)
 
-    def update_batch(self, records, gamma: float, lr: float):
-        obs = np.vstack([r[0] for r in records])
-        actions = np.array([r[1] for r in records], dtype=np.int64)
-        rewards = np.array([r[2] for r in records])
-        next_obs = np.vstack([r[3] for r in records])
-        done = np.array([r[4] for r in records])
-        boot = self.net.forward(self.layout, self.target_params, next_obs).max(axis=1)
-        targets = self.sign * rewards + gamma * np.where(done, 0.0, boot)
+    def update_batch(self, batch, gamma: float, lr: float):
+        boot = self.net.forward(self.layout, self.target_params, batch.next_obs).max(axis=1)
+        targets = self.sign * batch.reward + gamma * np.where(batch.done, 0.0, boot)
         tape = nm.Tape()
         tparams = nm.TapeParams(tape, self.layout, self.params)
-        out = self.net.forward_tape(tape, tparams, obs)
-        picked = nm.t_gather_cols(tape, out, actions)
+        out = self.net.forward_tape(tape, tparams, batch.obs)
+        picked = nm.t_gather_cols(tape, out, batch.action)
         total = nm.t_mean(tape, nm.t_square(tape, nm.t_sub_from_const(tape, targets, picked)))
         nm.backward(tape, total, 1.0)
         self.params = nm.adam_step(self.params, tparams.grad(), self.adam, lr)
@@ -224,11 +221,11 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
         losses = []
         for k, agent in enumerate(agents):
             for idx in round_batches(batch_rng, len(buffers[k]), config.updates_per_round, batch_size):
-                records = buffers[k].take(idx)
+                batch = buffers[k].take(idx)
                 if tab:
-                    agent.update_batch(records, game.gamma)
+                    agent.update_batch(batch, game.gamma)
                 else:
-                    losses.append(agent.update_batch(records, game.gamma, config.learning_rate))
+                    losses.append(agent.update_batch(batch, game.gamma, config.learning_rate))
             agent.refresh_target()
         coordinator.record(episode, size, batch_size, config.updates_per_round)
         row = {
@@ -247,16 +244,27 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
     return IndependentTrainResult(policies, metrics, coordinator.rounds, snapshots, episodes_run)
 
 
-def _agent_record(game, ep_step, team: str, idx: int, tabular: bool) -> tuple:
-    """One agent's view of a transition: (input, own action, reward, next input, done)."""
+@dataclass(frozen=True)
+class AgentStep:
+    """One agent's view of a transition. `obs` and `next_obs` are state
+    indices on the tabular backend and encoded observations otherwise."""
+
+    obs: object
+    action: int
+    reward: float
+    next_obs: object
+    done: bool
+
+
+def _agent_record(game, ep_step, team: str, idx: int, tabular: bool) -> AgentStep:
     cur, nxt = ep_step.state, ep_step.next_state
     if team == "pro":
         action, hist, next_hist = ep_step.action.pro[idx], cur.pro_histories[idx], nxt.pro_histories[idx]
     else:
         action, hist, next_hist = ep_step.action.ant[idx], cur.ant_histories[idx], nxt.ant_histories[idx]
     if tabular:
-        return (cur.state, action, ep_step.reward, nxt.state, ep_step.done)
-    return (
+        return AgentStep(cur.state, action, ep_step.reward, nxt.state, ep_step.done)
+    return AgentStep(
         encode_history(game, team, idx, hist),
         action,
         ep_step.reward,
@@ -317,6 +325,7 @@ def joint_minimax_train(game: TabularGame, config: IndependentQConfig) -> tuple[
     epsilon. The step size is max(0.05, alpha / (1 + 0.01 * episode)). Reads
     `episodes`, `alpha`, `seed` and the epsilon schedule from the config.
     """
+    check_exploration(config)
     lrn = JointMinimaxQLearner(game)
     rng = derive_rng(config.seed, "jminimax")
     metrics = []

@@ -126,9 +126,12 @@ class RunConfig:
             values[key] = _want(doc, "", key, kind, default, choices)
         if values["episodes"] < 0:
             raise ConfigError("episodes", "must be nonnegative")
-        if values["epsilon_end"] <= 0.0:
-            raise ConfigError("epsilon_end", "training data must stay exploratory: epsilon must be positive")
         values["hidden_layers"] = tuple(values["hidden_layers"])
+        train = learner.TrainConfig(**values)
+        try:
+            learner.check_exploration(train)
+        except learner.ExplorationError as exc:
+            raise ConfigError(exc.field, exc.reason) from None
         sizes = _want(doc, "", "buffer_sizes", dict, None)
         if sizes is not None:
             for key in ("small", "large", "full"):
@@ -141,7 +144,7 @@ class RunConfig:
         return cls(
             game_spec=game_spec,
             method=method,
-            train=learner.TrainConfig(**values),
+            train=train,
             alpha=_want(doc, "", "alpha", float, 0.1),
             backend=_want(doc, "", "backend", str, "tabular", choices={"tabular", "neural"}),
             buffer_sizes=sizes,
@@ -229,9 +232,15 @@ def cmd_train(config_path: str, out_dir: str, seed_override: int | None = None) 
     config = _load_run_config(config_path, seed_override)
     seed = config.train.seed
     game = build_game(config.game_spec)
+    eval_fn = _tabular_eval_fn(game) if config.train.eval_every else None
+    if config.method == "fm3q" and eval_fn is not None and config.train.history_window > 1:
+        raise ConfigError(
+            "history_window",
+            "NashConv evals (eval_every) on a tabular game need per-state policies, "
+            "which only history_window 1 gives",
+        )
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"), config.echo_document())
-    eval_fn = _tabular_eval_fn(game) if config.train.eval_every else None
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     if config.method == "fm3q":
         result = learner.train(game, config.train, eval_fn=eval_fn)

@@ -20,7 +20,8 @@ Two backends share the operation surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,9 +137,101 @@ def encode_step(game: TwoTeamGame, ep: EpisodeStep) -> StepRecord:
 # replay buffer and coordinator
 
 
+def _field_kind(value) -> str:
+    """How one record field is stored: a tuple of per-agent arrays gets one
+    column per agent, anything else one column of its own shape."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return "arrays" if isinstance(value[0], np.ndarray) else "tuple"
+    return "array" if isinstance(value, np.ndarray) else "scalar"
+
+
+class Batch(Sequence):
+    """Rows gathered from a replay buffer, one array per record field.
+
+    Attribute access gives the columns, rows first: ``batch.state_vec`` is
+    (B, state_dim), ``batch.pro_obs`` a tuple of per-agent (B, d_i) arrays,
+    ``batch.reward`` (B,), and a field that was None in every record gives
+    None. As a sequence it yields light row views that answer to the same
+    attribute names with one record's values.
+    """
+
+    def __init__(self, kinds: dict, columns: dict, rows: int):
+        self._kinds = kinds
+        self._columns = columns
+        self._rows = rows
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["_columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, k) -> _Row:
+        if not -self._rows <= k < self._rows:
+            raise IndexError("batch row out of range")
+        return _Row(self, k % self._rows)
+
+    def __iter__(self):
+        return (_Row(self, k) for k in range(self._rows))
+
+
+class _Row:
+    """One row of a `Batch`, read through the record's attribute names."""
+
+    __slots__ = ("_batch", "_k")
+
+    def __init__(self, batch: Batch, k: int):
+        self._batch = batch
+        self._k = k
+
+    def __getattr__(self, name):
+        kind = self._batch._kinds.get(name)
+        if kind is None:
+            raise AttributeError(name)
+        col, k = self._batch._columns[name], self._k
+        if kind == "none":
+            return None
+        if kind == "arrays":
+            return tuple(c[k] for c in col)
+        if kind == "tuple":
+            return tuple(col[k].tolist())
+        return col[k] if kind == "array" else col[k].item()
+
+
+def _empty_column(value) -> np.ndarray:
+    value = np.asarray(value)
+    return np.empty((1, *value.shape), dtype=value.dtype)
+
+
+def as_batch(records) -> Batch:
+    """A `Batch` unchanged, or a nonempty sequence of records gathered
+    through a full buffer, so every consumer reads columns."""
+    if isinstance(records, Batch):
+        return records
+    if not records:
+        raise ValueError("a batch needs at least one record")
+    buffer = ReplayBuffer("full")
+    for record in records:
+        buffer.add(record)
+    return buffer.take(np.arange(len(buffer)))
+
+
 class ReplayBuffer:
-    """Ordered experience store; full mode never evicts, bounded modes drop
-    the oldest records first."""
+    """Ordered, columnar experience store.
+
+    `add` writes each field of a record (a frozen dataclass such as
+    `StepRecord` whose fields are arrays, numbers, tuples of numbers, tuples
+    of per-agent arrays or None) into one preallocated array per field.
+    Full mode never evicts and doubles its arrays as it grows; bounded modes
+    grow the same way up to `capacity` rows and then overwrite the oldest
+    row, so they are a ring. `take(indices)` gathers every column at
+    logical positions (0 is the oldest row held) and returns a `Batch`.
+    """
 
     MODES = ("small", "large", "full")
 
@@ -150,22 +243,80 @@ class ReplayBuffer:
                 raise ValueError("bounded buffer modes need a positive capacity")
         self.mode = mode
         self.capacity = None if mode == "full" else int(capacity)
-        self._records: list = []
+        self._kinds: dict[str, str] = {}
+        self._columns: dict = {}  # field name -> array, tuple of arrays, or None
+        self._allocated = 0
+        self._size = 0
+        self._oldest = 0  # physical row of logical row 0; moves once the ring is full
 
     def add(self, record) -> None:
-        self._records.append(record)
-        if self.capacity is not None and len(self._records) > self.capacity:
-            del self._records[: len(self._records) - self.capacity]
+        if not self._kinds:
+            self._allocate(record)
+        elif self._size == self._allocated and self._size != self.capacity:
+            self._grow()
+        if self._size < self._allocated:
+            row = self._size
+            self._size += 1
+        else:
+            row = self._oldest
+            self._oldest = (row + 1) % self._size
+        for name, kind in self._kinds.items():
+            value = getattr(record, name)
+            if kind == "arrays":
+                for col, part in zip(self._columns[name], value):
+                    col[row] = part
+            elif kind != "none":
+                self._columns[name][row] = value
+            elif value is not None:
+                raise ValueError(f"record field {name!r} was None in earlier records")
 
-    def take(self, indices) -> list:
-        return [self._records[i] for i in indices]
+    def _allocate(self, record) -> None:
+        """One-row columns shaped and typed after the first record."""
+        for f in fields(record):
+            value = getattr(record, f.name)
+            kind = self._kinds[f.name] = _field_kind(value)
+            if kind == "arrays":
+                self._columns[f.name] = tuple(_empty_column(part) for part in value)
+            else:
+                self._columns[f.name] = None if kind == "none" else _empty_column(value)
+        self._allocated = 1
 
-    @property
-    def records(self) -> list:
-        return self._records
+    def _grow(self) -> None:
+        """Double the rows (up to `capacity`); only runs before the ring wraps."""
+        rows = 2 * self._allocated
+        if self.capacity is not None:
+            rows = min(rows, self.capacity)
+
+        def resized(col):
+            new = np.empty((rows, *col.shape[1:]), dtype=col.dtype)
+            new[: self._size] = col
+            return new
+
+        for name, col in self._columns.items():
+            if isinstance(col, tuple):
+                self._columns[name] = tuple(resized(c) for c in col)
+            elif col is not None:
+                self._columns[name] = resized(col)
+        self._allocated = rows
+
+    def take(self, indices) -> Batch:
+        idx = np.asarray(indices, dtype=np.int64)
+        # rows past the size are allocated but unwritten
+        if idx.size and (idx.min() < 0 or idx.max() >= self._size):
+            raise IndexError(f"replay rows must lie in [0, {self._size})")
+        if self._oldest:
+            idx = (idx + self._oldest) % self._size
+        columns = {}
+        for name, kind in self._kinds.items():
+            col = self._columns[name]
+            if kind == "arrays":
+                columns[name] = tuple(c.take(idx, axis=0) for c in col)
+            else:
+                columns[name] = None if kind == "none" else col.take(idx, axis=0)
+        return Batch(self._kinds, columns, idx.size)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
 
 @dataclass(frozen=True)
@@ -563,34 +714,31 @@ def _record_value(fq, params, state_vecs, pro_obs_mats, ant_obs_mats) -> np.ndar
     )
 
 
-def td_targets_batch(fq_target, records: list[StepRecord], exhaustive_check: bool = False) -> np.ndarray:
+def td_targets_batch(fq_target, records, exhaustive_check: bool = False) -> np.ndarray:
     """One-step TD targets from the target model: r plus the discounted
     minimax value of the successor (zero at terminal steps).
 
-    The minimax value uses the monotone-mixing shortcut: evaluate Q_tot at
-    the per-agent argmax profile of the target utilities. With
-    `exhaustive_check` the shortcut is compared against full joint
-    enumeration and any disagreement raises.
+    `records` is a `Batch` or a list of `StepRecord`s. The minimax value
+    uses the monotone-mixing shortcut: evaluate Q_tot at the per-agent
+    argmax profile of the target utilities. With `exhaustive_check` the
+    shortcut is compared against full joint enumeration and any
+    disagreement raises.
     """
-    game = fq_target.game
-    gamma = game.gamma
-    rewards = np.array([rec.reward for rec in records])
+    batch = as_batch(records)
+    gamma = fq_target.game.gamma
     if gamma == 0.0:
-        return rewards
-    done = np.array([rec.done for rec in records])
+        return batch.reward
     if fq_target.backend == "tabular":
         table = fq_target.q_tot_table()
         values = table.max(axis=1).min(axis=1)
-        nxt = np.array([rec.next_state_index for rec in records])
-        boot = values[nxt]
+        boot = values[batch.next_state_index]
     else:
-        state_vecs = np.vstack([rec.next_state_vec for rec in records])
-        pro_obs = [np.vstack([rec.next_pro_obs[i] for rec in records]) for i in range(game.n)]
-        ant_obs = [np.vstack([rec.next_ant_obs[j] for rec in records]) for j in range(game.m)]
-        boot = _record_value(fq_target, fq_target.params, state_vecs, pro_obs, ant_obs)
+        boot = _record_value(
+            fq_target, fq_target.params, batch.next_state_vec, batch.next_pro_obs, batch.next_ant_obs
+        )
     if exhaustive_check and fq_target.backend == "neural":
-        _check_shortcut(fq_target, records, boot)
-    return rewards + gamma * np.where(done, 0.0, boot)
+        _check_shortcut(fq_target, batch, boot)
+    return batch.reward + gamma * np.where(batch.done, 0.0, boot)
 
 
 def _check_shortcut(fq_target, records, shortcut_values):
@@ -624,21 +772,23 @@ class LossResult:
     targets: np.ndarray
 
 
-def loss(fq: NeuralFactorizedQ, fq_target, batch: list[StepRecord], exhaustive_check: bool = False) -> LossResult:
+def loss(fq: NeuralFactorizedQ, fq_target, batch, exhaustive_check: bool = False) -> LossResult:
     """Mean squared TD error over a batch plus gradients for the training
-    parameters (targets are constants)."""
+    parameters (targets are constants).
+
+    `batch` is a `Batch` from `ReplayBuffer.take` or a list of
+    `StepRecord`s, which `as_batch` gathers into one; either way the
+    network inputs are the batch's columns.
+    """
     if not batch:
         raise ValueError("loss needs a nonempty batch")
-    game = fq.game
+    batch = as_batch(batch)
     targets = td_targets_batch(fq_target, batch, exhaustive_check)
-    state_vecs = np.vstack([rec.state_vec for rec in batch])
-    pro_obs = [np.vstack([rec.pro_obs[i] for rec in batch]) for i in range(game.n)]
-    ant_obs = [np.vstack([rec.ant_obs[j] for rec in batch]) for j in range(game.m)]
-    pro_actions = np.array([rec.pro_actions for rec in batch], dtype=np.int64)
-    ant_actions = np.array([rec.ant_actions for rec in batch], dtype=np.int64)
     tape = nm.Tape()
     tparams = nm.TapeParams(tape, fq.layout, fq.params)
-    q_tot = fq.q_tot_tape(tape, tparams, state_vecs, pro_obs, ant_obs, pro_actions, ant_actions)
+    q_tot = fq.q_tot_tape(
+        tape, tparams, batch.state_vec, batch.pro_obs, batch.ant_obs, batch.pro_actions, batch.ant_actions
+    )
     diff = nm.t_sub_from_const(tape, targets, q_tot)
     total = nm.t_mean(tape, nm.t_square(tape, diff))
     value = float(total.value)
@@ -856,18 +1006,35 @@ class TrainConfig:
             raise ValueError("episodes must be nonnegative")
         if self.updates_per_round < 1:
             raise ValueError("updates_per_round must be at least 1")
-        if not 0.0 < self.epsilon_end <= 1.0 or not 0.0 < self.epsilon_start <= 1.0:
-            raise ValueError("exploration rates must stay in (0, 1]: data collection must remain exploratory")
-        if self.epsilon_end > self.epsilon_start:
-            raise ValueError("epsilon_end must not exceed epsilon_start")
-        if not 0.0 < self.epsilon_decay_fraction <= 1.0:
-            raise ValueError("epsilon_decay_fraction must lie in (0, 1]")
+        check_exploration(self)
         if self.history_window < 1:
             raise ValueError("history_window must be at least 1")
         if self.buffer_mode not in ReplayBuffer.MODES:
             raise ValueError(f"unknown buffer mode {self.buffer_mode!r}")
         if self.buffer_mode != "full" and (self.buffer_capacity is None or self.buffer_capacity < 1):
             raise ValueError("bounded buffer modes need a positive buffer_capacity")
+
+
+class ExplorationError(ValueError):
+    """An epsilon schedule that stops exploring; names the offending field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def check_exploration(config) -> None:
+    """Refuse an epsilon schedule under which data collection would stop
+    being exploratory. Reads the fields `epsilon_at` reads, so every
+    trainer's config is checked by this one rule."""
+    for name in ("epsilon_start", "epsilon_end"):
+        if not 0.0 < getattr(config, name) <= 1.0:
+            raise ExplorationError(name, "must lie in (0, 1]: data collection must remain exploratory")
+    if config.epsilon_end > config.epsilon_start:
+        raise ExplorationError("epsilon_end", "must not exceed epsilon_start")
+    if not 0.0 < config.epsilon_decay_fraction <= 1.0:
+        raise ExplorationError("epsilon_decay_fraction", "must lie in (0, 1]")
 
 
 def epsilon_at(config: TrainConfig, episode_index: int) -> float:

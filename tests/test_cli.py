@@ -301,3 +301,63 @@ def test_baseline_outputs_match_their_golden_hashes(tmp_path, method):
         hashlib.sha256(p.read_bytes()).hexdigest() for p in (out / "metrics.csv", ckpt)
     )
     assert digests == BASELINE_GOLDEN[method]
+
+
+def test_iql_refuses_non_exploratory_epsilon_start(tmp_path, capsys):
+    path = smoke_config(tmp_path, method="iql", epsilon_start=0.0)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "epsilon_start" in capsys.readouterr().err
+
+
+def test_window_two_with_tabular_nashconv_evals_is_refused_before_training(tmp_path, capsys):
+    path = smoke_config(tmp_path, episodes=4, history_window=2, eval_every=2)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 1
+    assert "history_window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GOLDEN_GAME = {"kind": "random_deterministic", "seed": 2, "n_states": 3, "n": 2, "m": 1,
+               "actions_per_agent": 2, "gamma": 0.7, "horizon": 5}
+
+#: Config overrides, then sha256 of metrics.csv and of the last checkpoint.
+#: The small buffer holds 16 of the run's 60 steps, so its ring wraps; the
+#: neural IQL buffers hold 12 of 50.
+TRAIN_GOLDEN = {
+    "fm3q-full": (
+        {"method": "fm3q", "episodes": 12, "updates_per_round": 4, "eval_every": 4,
+         "checkpoint_every": 6, "seed": 3},
+        (
+            "7bb9ab6b537f06760dcd954b4e1eaf7aadb585e2808186dac3c88ad5aaeb7519",
+            "a3c7caa5b459d671ddafed7d6ea39d94d52e65ea05f6b33f9439eefd77be068e",
+        ),
+    ),
+    "fm3q-small": (
+        {"method": "fm3q", "episodes": 12, "updates_per_round": 4, "buffer_mode": "small",
+         "buffer_capacity": 16, "checkpoint_every": 6, "seed": 5},
+        (
+            "9fa60ff426c5f1f21b209c8b33db4ec119e801e0868ec57754196d47cff2b2d7",
+            "632c0cacdb8743325e042ebbc590dd45d92e7981cd9a5bf7221e313af5e17b10",
+        ),
+    ),
+    "iql-neural": (
+        {"method": "iql", "backend": "neural", "episodes": 10, "updates_per_round": 4,
+         "buffer_capacity": 12, "eval_every": 5, "seed": 4},
+        (
+            "93accc72ab92d099ea79912e70b5e7736f63f3022550cbc5fd557dfbd7ed8d96",
+            "578124259b3a4ddfea1f28227a59111efd96b740aba6389bb1bcd181bfe8c4ca",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_GOLDEN))
+def test_training_outputs_match_their_golden_hashes(tmp_path, name):
+    overrides, golden = TRAIN_GOLDEN[name]
+    doc = {"game": GOLDEN_GAME, "hidden_layers": [8], "mix_hidden_dim": 4, **overrides}
+    path = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    last = sorted((out / "checkpoints").iterdir())[-1]
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out / "metrics.csv", last))
+    assert digests == golden

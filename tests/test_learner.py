@@ -1,5 +1,7 @@
 """Tests for the factorized model: mixing, coherence, targets, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -413,19 +415,77 @@ def test_extract_policies_constant_tables_tie_break_to_zero(det_game):
 # buffer and coordinator
 
 
-def test_full_buffer_never_evicts():
+def numbered_records(game, count):
+    """`count` copies of one encoded step whose rewards are 0, 1, 2, ..."""
+    aug = games.initial_augmented(game, 0)
+    ep = games.EpisodeStep(aug, JointAction((0, 0), (0, 0)), 0.0, aug, False)
+    record = learner.encode_step(game, ep)
+    return [dataclasses.replace(record, reward=float(k)) for k in range(count)]
+
+
+def test_full_buffer_never_evicts(small_game):
     buf = ReplayBuffer("full")
-    for k in range(1000):
-        buf.add(k)
+    for record in numbered_records(small_game, 1000):
+        buf.add(record)
     assert len(buf) == 1000
-    assert buf.records[0] == 0
+    assert buf.take([0])[0].reward == 0
 
 
-def test_bounded_buffer_evicts_oldest_first():
+def test_bounded_buffer_evicts_oldest_first(small_game):
     buf = ReplayBuffer("small", capacity=3)
-    for k in range(5):
-        buf.add(k)
-    assert buf.records == [2, 3, 4]
+    for record in numbered_records(small_game, 5):
+        buf.add(record)
+    assert [row.reward for row in buf.take(range(len(buf)))] == [2, 3, 4]
+
+
+def test_take_refuses_rows_the_buffer_does_not_hold(small_game):
+    buf = ReplayBuffer("full")
+    for record in numbered_records(small_game, 3):  # the columns have 4 rows by now
+        buf.add(record)
+    with pytest.raises(IndexError):
+        buf.take([3])
+
+
+def random_play_records(game, count, seed=0):
+    fq = small_fq(game, seed=seed)
+    rng = np.random.default_rng(seed)
+    aug = games.initial_augmented(game, 0)
+    records = []
+    for t in range(count):
+        ep = games.step(game, aug, select_actions(fq, aug, 1.0, rng), rng=rng, t=t)
+        records.append(learner.encode_step(game, ep))
+        aug = games.initial_augmented(game, 0) if ep.done else ep.next_state
+    return records
+
+
+@pytest.mark.parametrize("mode, capacity", [("full", None), ("small", 7)])
+def test_columnar_buffer_matches_the_record_list(small_game, mode, capacity):
+    records = random_play_records(small_game, 40)
+    buf = ReplayBuffer(mode, capacity)
+    for record in records:
+        buf.add(record)
+    held = records if capacity is None else records[-capacity:]  # 33 overwrites: the ring wraps 4+ times
+    assert len(buf) == len(held)
+    fq = small_fq(small_game, seed=1)
+    target = small_fq(small_game, seed=2)
+    rng = np.random.default_rng(3)
+    for idx in (rng.permutation(len(held)), rng.integers(len(held), size=2 * len(held))):
+        batch = buf.take(idx)
+        listed = [held[k] for k in idx]
+        for name in ("state_vec", "next_state_vec"):
+            assert np.array_equal(getattr(batch, name), np.vstack([getattr(r, name) for r in listed]))
+        for name in ("pro_obs", "ant_obs", "next_pro_obs", "next_ant_obs"):
+            for agent, column in enumerate(getattr(batch, name)):
+                assert np.array_equal(column, np.vstack([getattr(r, name)[agent] for r in listed]))
+        for name in ("pro_actions", "ant_actions", "reward", "done", "state_index", "next_state_index"):
+            assert np.array_equal(getattr(batch, name), np.array([getattr(r, name) for r in listed]))
+        assert [row.pro_actions for row in batch] == [r.pro_actions for r in listed]
+        assert all(np.array_equal(row.ant_obs[1], r.ant_obs[1]) for row, r in zip(batch, listed))
+        from_batch = learner.loss(fq, target, batch)
+        from_list = learner.loss(fq, target, listed)
+        assert from_batch.value == from_list.value
+        assert np.array_equal(from_batch.grads, from_list.grads)
+        assert np.array_equal(from_batch.targets, from_list.targets)
 
 
 def test_bounded_buffer_requires_capacity():

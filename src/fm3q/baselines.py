@@ -163,15 +163,20 @@ class IndependentPolicyPair:
 
 
 @dataclass
-class IndependentTrainResult:
-    policies: IndependentPolicyPair
+class BaselineTrainResult:
+    """What a baseline trainer returns. `snapshots` holds (episode,
+    TablePolicyPair) at each checkpoint episode of a tabular game, the last
+    episode included; joint minimax runs no update rounds, so its `rounds`
+    is empty."""
+
+    policies: object
     metrics: list
     rounds: list
     snapshots: list
     episodes_run: int
 
 
-def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, eval_fn=None) -> IndependentTrainResult:
+def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, eval_fn=None) -> BaselineTrainResult:
     """Self-play with fully independent per-agent TD learning.
 
     Mirrors the factorized trainer's coordinator arithmetic (U update steps
@@ -206,7 +211,7 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
     rollout_rng = derive_rng(config.seed, "iql-rollout")
     batch_rng = derive_rng(config.seed, "iql-batches")
     metrics: list[dict] = []
-    snapshots: list[tuple[int, object]] = []
+    snapshots: list[tuple[int, TablePolicyPair]] = []
     episodes_run = 0
     for episode in range(1, config.episodes + 1):
         eps = epsilon_at(config, episode - 1)
@@ -239,9 +244,17 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
         if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
             row.update(eval_fn(policies, episode))
         metrics.append(row)
-        if config.checkpoint_every and episode % config.checkpoint_every == 0 and tab:
-            snapshots.append((episode, policies.state_tables(game)))
-    return IndependentTrainResult(policies, metrics, coordinator.rounds, snapshots, episodes_run)
+        if _checkpoint_due(game, config, episode):
+            snapshots.append((episode, TablePolicyPair(*policies.state_tables(game))))
+    return BaselineTrainResult(policies, metrics, coordinator.rounds, snapshots, episodes_run)
+
+
+def _checkpoint_due(game, config, episode: int) -> bool:
+    """Snapshot at every `checkpoint_every`-th episode and at the last one;
+    only a tabular game has the per-state tables a snapshot holds."""
+    if not (config.checkpoint_every and getattr(game, "is_tabular", False)):
+        return False
+    return episode % config.checkpoint_every == 0 or episode == config.episodes
 
 
 @dataclass(frozen=True)
@@ -317,18 +330,21 @@ def joint_minimaxq_update(learner: JointMinimaxQLearner, ep_step, alpha: float, 
     return learner.q
 
 
-def joint_minimax_train(game: TabularGame, config: IndependentQConfig) -> tuple[JointMinimaxQLearner, list]:
+def joint_minimax_train(game: TabularGame, config: IndependentQConfig, eval_fn=None) -> BaselineTrainResult:
     """Online joint minimax Q with one TD update per environment step.
 
     Each episode plays the greedy table pair frozen at its start; one draw
     per step swaps in a uniformly random joint action with probability
     epsilon. The step size is max(0.05, alpha / (1 + 0.01 * episode)). Reads
-    `episodes`, `alpha`, `seed` and the epsilon schedule from the config.
+    `episodes`, `alpha`, `seed`, the epsilon schedule and the
+    `eval_every`/`checkpoint_every` cadences from the config;
+    `eval_fn(pair, episode) -> dict` adds columns to that episode's row.
     """
     check_exploration(config)
     lrn = JointMinimaxQLearner(game)
     rng = derive_rng(config.seed, "jminimax")
     metrics = []
+    snapshots = []
     for episode in range(1, config.episodes + 1):
         eps = epsilon_at(config, episode - 1)
         alpha = max(0.05, config.alpha / (1.0 + 0.01 * episode))
@@ -344,8 +360,13 @@ def joint_minimax_train(game: TabularGame, config: IndependentQConfig) -> tuple[
 
         for ep_step in rollout(game, act, rng):
             joint_minimaxq_update(lrn, ep_step, alpha, game.gamma)
-        metrics.append({"episode": episode, "loss": 0.0, "epsilon": eps, "buffer_size": 0, "batch_size": 0})
-    return lrn, metrics
+        row = {"episode": episode, "loss": 0.0, "epsilon": eps, "buffer_size": 0, "batch_size": 0}
+        if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
+            row.update(eval_fn(lrn.policy_pair(), episode))
+        metrics.append(row)
+        if _checkpoint_due(game, config, episode):
+            snapshots.append((episode, lrn.policy_pair()))
+    return BaselineTrainResult(lrn.policy_pair(), metrics, [], snapshots, config.episodes)
 
 
 def joint_minimax_sweeps(

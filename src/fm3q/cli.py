@@ -252,16 +252,14 @@ def cmd_train(config_path: str, out_dir: str, seed_override: int | None = None) 
                 result.fq.with_params(params), episode=episode, method="fm3q", seed=seed
             )
             _write_json(os.path.join(ckpt_dir, f"ckpt_ep{episode:06d}.json"), doc)
-    elif config.method == "iql":
-        result = baselines.selfplay_independent_train(game, config.baseline_config(), eval_fn=eval_fn)
+    else:
+        trainer = baselines.selfplay_independent_train if config.method == "iql" else baselines.joint_minimax_train
+        result = trainer(game, config.baseline_config(), eval_fn=eval_fn)
         metrics = result.metrics
         os.makedirs(ckpt_dir, exist_ok=True)
         if getattr(game, "is_tabular", False):
-            _write_state_tables(ckpt_dir, result.policies, game, "iql", result.episodes_run, seed)
-    else:
-        lrn, metrics = baselines.joint_minimax_train(game, config.baseline_config())
-        os.makedirs(ckpt_dir, exist_ok=True)
-        _write_state_tables(ckpt_dir, lrn.policy_pair(), game, "jminimax", config.train.episodes, seed)
+            for episode, pair in result.snapshots or [(result.episodes_run, result.policies)]:
+                _write_state_tables(ckpt_dir, pair, game, config.method, episode, seed)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
     return 0
 
@@ -272,8 +270,17 @@ def cmd_oracle(game_path: str, tol: float, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle.json"), solution.to_document())
     v_text = " ".join(f"{v:.6f}" for v in solution.v_star)
+    gap = float(np.max(solution.saddle_gap))
     print(f"oracle: iterations={solution.iterations} residual={solution.residual:.3e}")
     print(f"oracle: V* per state: {v_text}")
+    print(f"oracle: max saddle gap={gap:.3e}")
+    if gap > tol:
+        states = " ".join(str(s) for s in np.flatnonzero(solution.saddle_gap > tol))
+        print(
+            f"warning: no pure saddle in state(s) {states} (gap {gap:.3e} > tol {tol:.1e}); "
+            "V* there is only the pure min-max bound, not the game's mixed-strategy value",
+            file=sys.stderr,
+        )
     return 0
 
 

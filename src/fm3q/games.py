@@ -171,6 +171,12 @@ class TabularGame(TwoTeamGame):
     every agent sees the state index. The horizon defaults to the smallest H
     with gamma**H <= 1e-3 so that finite rollouts approximate the discounted
     objective.
+
+    `transitions` is either the dense P or an integer (S, JA, JB) array of
+    successor states for deterministic dynamics. A dense P whose every row
+    is exactly one-hot is stored the same way, as `successors`, and no dense
+    tensor is kept; `P` then builds it on each access. `successors` is None
+    for a stochastic game.
     """
 
     is_tabular = True
@@ -187,7 +193,7 @@ class TabularGame(TwoTeamGame):
         initial_state: int | None = None,
         name: str = "tabular",
     ):
-        transitions = np.asarray(transitions, dtype=np.float64)
+        transitions = np.asarray(transitions)
         rewards = np.asarray(rewards, dtype=np.float64)
         self.pro_action_counts = tuple(int(c) for c in pro_action_counts)
         self.ant_action_counts = tuple(int(c) for c in ant_action_counts)
@@ -197,18 +203,34 @@ class TabularGame(TwoTeamGame):
         s_count = rewards.shape[0]
         if rewards.shape != (s_count, ja, jb):
             raise ValueError(f"reward tensor shape {rewards.shape} does not match ({s_count}, {ja}, {jb})")
-        if transitions.shape != (s_count, ja, jb, s_count):
-            raise ValueError(
-                f"transition tensor shape {transitions.shape} does not match ({s_count}, {ja}, {jb}, {s_count})"
-            )
-        sums = transitions.sum(axis=3)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("transition rows must sum to 1 within 1e-9")
-        if np.min(transitions) < 0.0:
-            raise ValueError("transition probabilities must be nonnegative")
+        if not np.all(np.isfinite(rewards)):
+            raise ValueError("rewards must be finite")
+        if np.issubdtype(transitions.dtype, np.integer) and transitions.ndim == 3:
+            if transitions.shape != (s_count, ja, jb):
+                raise ValueError(
+                    f"successor array shape {transitions.shape} does not match ({s_count}, {ja}, {jb})"
+                )
+            if transitions.min() < 0 or transitions.max() >= s_count:
+                raise ValueError(f"successor states must lie in [0, {s_count})")
+            self.successors = transitions.astype(np.int64)
+            self._dense = None
+        else:
+            transitions = np.ascontiguousarray(transitions, dtype=np.float64)
+            if transitions.shape != (s_count, ja, jb, s_count):
+                raise ValueError(
+                    f"transition tensor shape {transitions.shape} does not match ({s_count}, {ja}, {jb}, {s_count})"
+                )
+            if not np.all(np.isfinite(transitions)):
+                raise ValueError("transition probabilities must be finite")
+            sums = transitions.sum(axis=3)
+            if np.max(np.abs(sums - 1.0)) > 1e-9:
+                raise ValueError("transition rows must sum to 1 within 1e-9")
+            if np.min(transitions) < 0.0:
+                raise ValueError("transition probabilities must be nonnegative")
+            self.successors = _one_hot_successors(transitions)
+            self._dense = transitions if self.successors is None else None
         if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        self.P = transitions
         self.R = rewards
         self.gamma = float(gamma)
         self.r_max = float(r_max) if r_max is not None else float(np.max(np.abs(rewards)))
@@ -225,6 +247,49 @@ class TabularGame(TwoTeamGame):
     def n_states(self) -> int:
         return self.R.shape[0]
 
+    @property
+    def P(self) -> np.ndarray:
+        """Dense transition tensor (S, JA, JB, S). A deterministic game
+        builds it afresh on every access and does not keep it."""
+        if self.successors is None:
+            return self._dense
+        dense = np.zeros(self.successors.shape + (self.n_states,))
+        np.put_along_axis(dense, self.successors[..., None], 1.0, axis=3)
+        return dense
+
+    def transition_rows(self, s, ja, jb) -> np.ndarray:
+        """The rows P[s, ja, jb] for scalar or array indices, without
+        building the dense P of a deterministic game."""
+        if self.successors is None:
+            return self._dense[s, ja, jb]
+        return self._eye[self.successors[s, ja, jb]]
+
+    def backup(self, pro=None, ant=None):
+        """The map v -> E[v(s')], v indexed by state.
+
+        With neither argument it covers every cell and returns (S, JA, JB).
+        With `pro` (or `ant`), a per-state joint action of that team, it
+        covers the slice where that team plays `pro[s]` in state s and
+        returns (S, JB) (or (S, JA)). The slice is taken once, here, so
+        call this once per solve and the returned map once per iteration.
+        A deterministic game gathers v at the successors, which gives the
+        same bits as contracting the one-hot P.
+        """
+        if pro is not None and ant is not None:
+            raise ValueError("fix at most one team's actions")
+        s_idx = np.arange(self.n_states)
+        if self.successors is not None:
+            nxt = self.successors
+            if pro is not None:
+                nxt = nxt[s_idx, pro, :]
+            elif ant is not None:
+                nxt = nxt[s_idx, :, ant]
+            return lambda v: v[nxt]
+        if pro is None and ant is None:
+            return lambda v: np.einsum("sabt,t->sab", self._dense, v)
+        p_red = self._dense[s_idx, pro, :, :] if pro is not None else self._dense[s_idx, :, ant, :]
+        return lambda v: np.einsum("sat,t->sa", p_red, v)
+
     def observe_pro(self, s, i):
         return s
 
@@ -232,7 +297,7 @@ class TabularGame(TwoTeamGame):
         return s
 
     def transition_dist(self, s, pro_actions, ant_actions):
-        row = self.P[s, self.encode_pro(pro_actions), self.encode_ant(ant_actions)]
+        row = self.transition_rows(s, self.encode_pro(pro_actions), self.encode_ant(ant_actions))
         return np.arange(self.n_states), row
 
     def reward(self, s, pro_actions, ant_actions) -> float:
@@ -310,6 +375,17 @@ class TabularGame(TwoTeamGame):
         )
 
 
+def _one_hot_successors(transitions: np.ndarray) -> np.ndarray | None:
+    """The successor of every row when each row of P holds exactly one 1.0
+    and +0.0 everywhere else, so the dense tensor rebuilds bit for bit;
+    None otherwise."""
+    ones = transitions == 1.0
+    per_row = ones.sum(axis=3)
+    if not np.all(per_row == 1) or np.count_nonzero(transitions.view(np.uint64)) != per_row.size:
+        return None
+    return ones.argmax(axis=3).astype(np.int64)
+
+
 def default_horizon(gamma: float, tail: float = 1e-3) -> int:
     """Smallest H with gamma**H <= tail (1 for the undiscounted case)."""
     if gamma <= 0.0:
@@ -343,11 +419,12 @@ def random_tabular_game(
     _check_joint_guard(pro_counts, ant_counts)
     rng = np.random.default_rng(seed)
     ja, jb = joint_count(pro_counts), joint_count(ant_counts)
-    raw = 1.0 - rng.random((n_states, ja, jb, n_states))  # draws in (0, 1]
-    transitions = raw / raw.sum(axis=3, keepdims=True)
+    raw = rng.random((n_states, ja, jb, n_states))
+    np.subtract(1.0, raw, out=raw)  # draws in (0, 1]
+    raw /= raw.sum(axis=3, keepdims=True)
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, ja, jb))
     return TabularGame(
-        transitions,
+        raw,
         rewards,
         pro_counts,
         ant_counts,
@@ -377,13 +454,9 @@ def random_deterministic_game(
     rng = np.random.default_rng(seed)
     ja, jb = joint_count(pro_counts), joint_count(ant_counts)
     successors = rng.integers(n_states, size=(n_states, ja, jb))
-    transitions = np.zeros((n_states, ja, jb, n_states))
-    it = np.nditer(successors, flags=["multi_index"])
-    for nxt in it:
-        transitions[it.multi_index + (int(nxt),)] = 1.0
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, ja, jb))
     return TabularGame(
-        transitions,
+        successors,
         rewards,
         pro_counts,
         ant_counts,
@@ -447,12 +520,8 @@ def random_saddle_game(
             break
     successors = rng.integers(n_states, size=(n_states, ja, jb))
     rewards = matrices - gamma * values[successors]
-    transitions = np.zeros((n_states, ja, jb, n_states))
-    it = np.nditer(successors, flags=["multi_index"])
-    for nxt in it:
-        transitions[it.multi_index + (int(nxt),)] = 1.0
     return TabularGame(
-        transitions,
+        successors,
         rewards,
         pro_counts,
         ant_counts,

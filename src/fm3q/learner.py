@@ -922,9 +922,13 @@ class TabularDataset:
         s, ja, jb = np.unravel_index(
             np.tile(np.arange(cells), repeats), (s_count, ja_count, jb_count)
         )
-        cdf = np.cumsum(game.P[s, ja, jb, :], axis=1)
         draws = rng.random(s.size)
-        s_next = (draws[:, None] < cdf).argmax(axis=1)
+        if game.successors is None:
+            cdf = np.cumsum(game.transition_rows(s, ja, jb), axis=1)
+            s_next = (draws[:, None] < cdf).argmax(axis=1)
+        else:
+            # a one-hot row's inverse-CDF draw always lands on its successor
+            s_next = game.successors[s, ja, jb]
         return cls(
             s.astype(np.int64),
             ja.astype(np.int64),
@@ -950,17 +954,18 @@ def exact_operator_apply(fq: TabularFactorizedQ, dataset: TabularDataset) -> Tab
     if isinstance(dataset, list):
         dataset = TabularDataset.from_steps(game, dataset)
     shape = game.R.shape
-    counts = np.zeros(shape)
-    np.add.at(counts, (dataset.s, dataset.ja, dataset.jb), 1.0)
+    cell = np.ravel_multi_index((dataset.s, dataset.ja, dataset.jb), shape)
+    counts = np.bincount(cell, minlength=game.R.size).astype(np.float64).reshape(shape)
     if np.any(counts == 0):
         missing = [tuple(int(v) for v in idx) for idx in np.argwhere(counts == 0)]
         raise CoverageError(missing, counts)
     old_table = fq.q_tot_table()
     values = old_table.max(axis=1).min(axis=1)
     targets = dataset.r + game.gamma * np.where(dataset.done, 0.0, values[dataset.s_next])
-    sums = np.zeros(shape, dtype=targets.dtype)
-    np.add.at(sums, (dataset.s, dataset.ja, dataset.jb), targets)
-    q_new = sums / counts
+    # np.bincount would sum longdouble targets in float64
+    sums = np.zeros(game.R.size, dtype=targets.dtype)
+    np.add.at(sums, cell, targets)
+    q_new = sums.reshape(shape) / counts
     pro_tables = [np.zeros((game.n_states, c)) for c in game.pro_action_counts]
     ant_tables = [np.zeros((game.n_states, c)) for c in game.ant_action_counts]
     for s in range(game.n_states):

@@ -119,17 +119,18 @@ def solve_superb_q(game: TabularGame, tol: float = 1e-8, max_iters: int | None =
         q = game.R.copy()
         iterations, residual = 1, 0.0
     else:
+        backup = game.backup()
         iterations = 0
         residual = np.inf
         for iterations in range(1, max_iters + 1):
             v = q.max(axis=1).min(axis=1)  # (S,)
-            q_next = game.R + game.gamma * np.einsum("sabt,t->sab", game.P, v)
+            q_next = game.R + game.gamma * backup(v)
             residual = float(np.max(np.abs(q_next - q)))
             residual_history.append(residual)
             q = q_next
             if residual < tol:
                 break
-        if residual >= tol:
+        if not residual < tol:  # a NaN residual never converges
             raise OracleConvergenceError(
                 f"no convergence after {max_iters} iterations (residual {residual:.3e})",
                 residual,
@@ -177,28 +178,28 @@ def best_response(
     s_idx = np.arange(s_count)
     if team == "pro":
         opp = _validate_team_policy(fixed_opponent_policy, s_count, game.ant_joint_count, "ant")
-        p_red = game.P[s_idx, :, opp, :]  # (S, JA, S)
         r_red = game.R[s_idx, :, opp]  # (S, JA)
-        backup = np.max
+        backup = game.backup(ant=opp)
+        best = np.max
         pick = np.argmax
     else:
         opp = _validate_team_policy(fixed_opponent_policy, s_count, game.pro_joint_count, "pro")
-        p_red = game.P[s_idx, opp, :, :]  # (S, JB, S)
         r_red = game.R[s_idx, opp, :]  # (S, JB)
-        backup = np.min
+        backup = game.backup(pro=opp)
+        best = np.min
         pick = np.argmin
     if max_iters is None:
         max_iters = default_max_iters(game.gamma, tol, game.r_max)
     if game.gamma == 0.0:
-        values = backup(r_red, axis=1)
+        values = best(r_red, axis=1)
         policy = pick(r_red, axis=1)
         return BestResponse(team, opp.copy(), values, policy, 1, 0.0)
     values = np.zeros(s_count)
     residual = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        q = r_red + game.gamma * np.einsum("sat,t->sa", p_red, values)
-        new_values = backup(q, axis=1)
+        q = r_red + game.gamma * backup(values)
+        new_values = best(q, axis=1)
         residual = float(np.max(np.abs(new_values - values)))
         values = new_values
         if residual < tol:
@@ -207,7 +208,7 @@ def best_response(
         raise OracleConvergenceError(
             f"best response did not converge (residual {residual:.3e})", residual
         )
-    q = r_red + game.gamma * np.einsum("sat,t->sa", p_red, values)
+    q = r_red + game.gamma * backup(values)
     policy = pick(q, axis=1)
     return BestResponse(team, opp.copy(), values, policy, iterations, residual)
 
@@ -222,7 +223,7 @@ def policy_value(game: TabularGame, pro_policy: np.ndarray, ant_policy: np.ndarr
     r_vec = game.R[s_idx, pro, ant]
     if game.gamma == 0.0:
         return r_vec.copy()
-    p_mat = game.P[s_idx, pro, ant, :]
+    p_mat = game.transition_rows(s_idx, pro, ant)
     return np.linalg.solve(np.eye(s_count) - game.gamma * p_mat, r_vec)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
 import hashlib
 import json
 import os
@@ -91,11 +92,25 @@ def test_train_seed_override_changes_the_run(tmp_path):
 
 
 def test_train_iql_method(tmp_path):
-    path = smoke_config(tmp_path, method="iql", episodes=2)
+    path = smoke_config(tmp_path, method="iql", episodes=2)  # checkpoint_every 1
     out = tmp_path / "out"
     assert main(["train", "--config", path, "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
-    assert len(os.listdir(out / "checkpoints")) == 1
+    assert sorted(os.listdir(out / "checkpoints")) == ["ckpt_ep000001.json", "ckpt_ep000002.json"]
+
+
+@pytest.mark.parametrize("method", ["iql", "jminimax"])
+def test_baselines_honour_checkpoint_and_eval_cadence(tmp_path, method):
+    path = smoke_config(tmp_path, method=method, episodes=6, checkpoint_every=2, eval_every=3)
+    out = tmp_path / "out"
+    assert main(["train", "--config", path, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "checkpoints")) == [f"ckpt_ep{e:06d}.json" for e in (2, 4, 6)]
+    for name in os.listdir(out / "checkpoints"):
+        doc = json.loads((out / "checkpoints" / name).read_text())
+        assert (doc["method"], doc["episode"]) == (method, int(name[7:13]))
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["episode"] for row in rows if row.get("nashconv")] == ["3", "6"]
 
 
 def test_oracle_command_gamma_zero(tmp_path, capsys):
@@ -108,6 +123,24 @@ def test_oracle_command_gamma_zero(tmp_path, capsys):
     assert "iterations=1" in printed
     doc = json.loads((out / "oracle.json").read_text())
     assert doc["v_star"][0] == pytest.approx(1.0)
+
+
+def test_oracle_command_reports_the_saddle_gap_and_warns_without_a_pure_saddle(tmp_path, capsys):
+    pennies = games.matrix_team_game([[1.0, -1.0], [-1.0, 1.0]], 1, 1)
+    saddle = games.matrix_team_game([[2.0, 1.0], [1.0, 0.0]], 1, 1)
+    for label, g in (("pennies", pennies), ("saddle", saddle)):
+        games.save_game(g, tmp_path / f"{label}.json")
+        out = tmp_path / label
+        assert main(["oracle", "--game", str(tmp_path / f"{label}.json"), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        written = json.dumps(oracle.solve_superb_q(g).to_document(), indent=2, sort_keys=True)
+        assert (out / "oracle.json").read_text() == written
+        if label == "pennies":
+            assert "max saddle gap=2.000e+00" in captured.out
+            assert "no pure saddle in state(s) 0" in captured.err
+        else:
+            assert "max saddle gap=0.000e+00" in captured.out
+            assert captured.err == ""
 
 
 def test_oracle_command_constant_reward_prints_geometric_value(tmp_path, capsys):

@@ -51,6 +51,16 @@ def test_deterministic_game_rows_are_one_hot():
     assert np.all(flat.sum(axis=1) == 1.0)
 
 
+@pytest.mark.parametrize("tensor", ["P", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_game_tensors_are_refused(tensor, bad):
+    g = games.random_tabular_game(seed=2, n_states=3, n=1, m=1, actions_per_agent=2, gamma=0.5)
+    P, R = g.P.copy(), g.R.copy()
+    (P if tensor == "P" else R)[0, 0, 0, ...] = bad
+    with pytest.raises(ValueError, match="finite"):
+        games.TabularGame(P, R, g.pro_action_counts, g.ant_action_counts, g.gamma)
+
+
 def test_matrix_game_minimax_values_no_saddle():
     g = games.matrix_team_game([[1.0, -1.0], [-1.0, 1.0]], 1, 1)
     m = g.R[0]

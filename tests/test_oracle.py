@@ -22,6 +22,14 @@ def test_constant_reward_value_is_geometric_series():
     assert np.allclose(sol.v_star, 0.3 / (1 - gamma), atol=1e-8)
 
 
+@pytest.mark.parametrize("make", [games.random_deterministic_game, games.random_tabular_game])
+def test_nan_reward_written_after_construction_never_converges(make):
+    g = make(seed=4, n_states=3, n=1, m=1, actions_per_agent=2, gamma=0.7)
+    g.R[0, 0, 0] = np.nan
+    with pytest.raises(oracle.OracleConvergenceError):
+        oracle.solve_superb_q(g)
+
+
 def test_residuals_decrease_geometrically():
     g = games.random_tabular_game(seed=7, n_states=4, n=2, m=2, actions_per_agent=2, gamma=0.9)
     sol = oracle.solve_superb_q(g, tol=1e-10)

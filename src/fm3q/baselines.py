@@ -113,14 +113,13 @@ class _NeuralAgent:
     def update_batch(self, batch, gamma: float, lr: float):
         boot = self.net.forward(self.layout, self.target_params, batch.next_obs).max(axis=1)
         targets = self.sign * batch.reward + gamma * np.where(batch.done, 0.0, boot)
-        tape = nm.Tape()
-        tparams = nm.TapeParams(tape, self.layout, self.params)
-        out = self.net.forward_tape(tape, tparams, batch.obs)
-        picked = nm.t_gather_cols(tape, out, batch.action)
-        total = nm.t_mean(tape, nm.t_square(tape, nm.t_sub_from_const(tape, targets, picked)))
-        nm.backward(tape, total, 1.0)
-        self.params = nm.adam_step(self.params, tparams.grad(), self.adam, lr)
-        return float(total.value)
+        out, layers = self.net.forward_cache(self.layout, self.params, batch.obs)
+        value, g = nm.mean_squared_error(targets, out[np.arange(len(out)), batch.action])
+        g = nm.pick_cols_grad(g, batch.action, self.net.out_dim)
+        grads = self.layout.zeros()
+        nm.backward(self.net, self.layout, self.params, layers, g, grads)
+        self.params = nm.adam_step(self.params, grads, self.adam, lr)
+        return value
 
     def refresh_target(self):
         self.target_params = self.params.copy()

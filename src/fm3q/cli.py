@@ -270,10 +270,18 @@ def cmd_oracle(game_path: str, tol: float, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle.json"), solution.to_document())
     v_text = " ".join(f"{v:.6f}" for v in solution.v_star)
-    gap = float(np.max(solution.saddle_gap))
     print(f"oracle: iterations={solution.iterations} residual={solution.residual:.3e}")
     print(f"oracle: V* per state: {v_text}")
-    print(f"oracle: max saddle gap={gap:.3e}")
+    _report_saddle_gap("oracle", solution, tol)
+    return 0
+
+
+def _report_saddle_gap(label: str, solution: oracle.OracleSolution, tol: float) -> None:
+    """Print the largest pure-strategy saddle gap of `solution` and warn on
+    stderr, naming the states, where it exceeds `tol`: there the oracle's
+    pure-strategy answers are only bounds."""
+    gap = float(np.max(solution.saddle_gap))
+    print(f"{label}: max saddle gap={gap:.3e}")
     if gap > tol:
         states = " ".join(str(s) for s in np.flatnonzero(solution.saddle_gap > tol))
         print(
@@ -281,7 +289,6 @@ def cmd_oracle(game_path: str, tol: float, out_dir: str) -> int:
             "V* there is only the pure min-max bound, not the game's mixed-strategy value",
             file=sys.stderr,
         )
-    return 0
 
 
 def load_checkpoint(game, path: str) -> evaluation.Checkpoint:
@@ -329,6 +336,8 @@ def cmd_eval(checkpoints_dir: str, game_path: str, mode: str, out_dir: str, tol:
         if mode == "trend":
             report.extras["trend_fraction"] = evaluation.optimization_trend(table)
     elif mode == "nashconv":
+        # NashConv here ranges over deterministic policies only
+        _report_saddle_gap("eval", oracle.solve_superb_q(game, tol=tol), tol)
         report.curves["nashconv"] = evaluation.nashconv_curve(checkpoints, game, tol)
     elif mode == "vsbot":
         bot = games.scripted_bot_pair(game)

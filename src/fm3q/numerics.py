@@ -1,16 +1,19 @@
-"""Flat-parameter dense networks with reverse-mode gradients.
+"""Flat-parameter dense networks with a hand-written reverse pass.
 
-The training stack needs gradients through compositions of several small
-dense networks (per-agent utility networks plus a state-conditioned mixer),
-so this module carries a tiny tape-based autodiff over float64 numpy arrays
-instead of pulling in a deep-learning framework. All parameters of a model
-live in one flat vector with a named layout, which keeps optimizer state,
-target snapshots, and checkpoints trivial to manage and to diff.
+Training differentiates two graph shapes only: per-agent dense utility nets
+feeding a state-conditioned mixer, and (for neural independent Q) one dense
+net followed by a gather. So instead of a deep-learning framework or a
+general autodiff tape, `DenseNet.forward_cache` keeps each layer's input and
+pre-activation and `backward` runs one net's reverse pass over that cache;
+callers write the few ops around the nets (gather, mixer, squared error) by
+hand. All parameters of a model live in one flat vector with a named
+layout, which keeps optimizer state, target snapshots, and checkpoints
+trivial to manage and to diff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +23,7 @@ ACTIVATIONS = ("relu", "elu", "abs", "identity")
 
 
 class GradientError(RuntimeError):
-    """A gradient computation cannot proceed (non-finite values, tape reuse)."""
+    """A gradient computation cannot proceed (non-finite values)."""
 
 
 def _act_forward(kind: str, x: np.ndarray) -> np.ndarray:
@@ -118,197 +121,6 @@ def _shape_size(shape: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reverse-mode tape
-
-
-class Var:
-    """One node of a recorded forward pass."""
-
-    __slots__ = ("value", "grad", "parents")
-
-    def __init__(self, value, parents=()):
-        self.value = value
-        self.grad = None
-        self.parents = parents
-
-
-class Tape:
-    """Forward recording; `backward` consumes it exactly once."""
-
-    __slots__ = ("nodes", "consumed")
-
-    def __init__(self):
-        self.nodes = []
-        self.consumed = False
-
-    def record(self, value, parents=()) -> Var:
-        node = Var(value, parents)
-        self.nodes.append(node)
-        return node
-
-
-def backward(tape: Tape, out: Var, upstream) -> None:
-    """Accumulate gradients of `out` through every recorded node."""
-    if tape.consumed:
-        raise GradientError("tape already consumed by a previous backward pass")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if np.shape(out.value) != upstream.shape:
-        raise ValueError("upstream gradient shape does not match the output")
-    tape.consumed = True
-    out.grad = upstream
-    for node in reversed(tape.nodes):
-        if node.grad is None:
-            continue
-        for parent, vjp in node.parents:
-            delta = vjp(node.grad)
-            parent.grad = delta if parent.grad is None else parent.grad + delta
-
-
-def t_leaf(tape: Tape, value) -> Var:
-    return tape.record(np.asarray(value, dtype=np.float64))
-
-
-def t_matmul_t(tape: Tape, x: Var, w: Var) -> Var:
-    """x (B, i) times w (o, i) transposed, the dense-layer product."""
-    value = x.value @ w.value.T
-    return tape.record(
-        value,
-        (
-            (x, lambda g, wv=w.value: g @ wv),
-            (w, lambda g, xv=x.value: g.T @ xv),
-        ),
-    )
-
-
-def t_add_row(tape: Tape, x: Var, b: Var) -> Var:
-    """Add a bias row b (o,) to every row of x (B, o)."""
-    return tape.record(
-        x.value + b.value,
-        (
-            (x, lambda g: g),
-            (b, lambda g: g.sum(axis=0)),
-        ),
-    )
-
-
-def t_add(tape: Tape, x: Var, y: Var) -> Var:
-    return tape.record(x.value + y.value, ((x, lambda g: g), (y, lambda g: g)))
-
-
-def t_neg(tape: Tape, x: Var) -> Var:
-    return tape.record(-x.value, ((x, lambda g: -g),))
-
-
-def t_mul(tape: Tape, x: Var, y: Var) -> Var:
-    return tape.record(
-        x.value * y.value,
-        (
-            (x, lambda g, yv=y.value: g * yv),
-            (y, lambda g, xv=x.value: g * xv),
-        ),
-    )
-
-
-def t_act(tape: Tape, x: Var, kind: str) -> Var:
-    if kind == "identity":
-        return x
-    deriv = _act_derivative(kind, x.value)
-    return tape.record(_act_forward(kind, x.value), ((x, lambda g, d=deriv: g * d),))
-
-
-def t_concat_cols(tape: Tape, xs) -> Var:
-    """Concatenate (B, k_i) blocks along columns."""
-    xs = list(xs)
-    widths = [v.value.shape[1] for v in xs]
-    parents = []
-    start = 0
-    for v, w in zip(xs, widths):
-        parents.append((v, lambda g, s=start, e=start + w: g[:, s:e]))
-        start += w
-    return tape.record(np.concatenate([v.value for v in xs], axis=1), tuple(parents))
-
-
-def t_reshape(tape: Tape, x: Var, shape) -> Var:
-    old = x.value.shape
-    return tape.record(x.value.reshape(shape), ((x, lambda g, s=old: g.reshape(s)),))
-
-
-def t_bmm_vec(tape: Tape, q: Var, w: Var) -> Var:
-    """Per-row vector-matrix product: q (B, K) with w (B, K, H) gives (B, H)."""
-    value = np.einsum("bk,bkh->bh", q.value, w.value)
-    return tape.record(
-        value,
-        (
-            (q, lambda g, wv=w.value: np.einsum("bh,bkh->bk", g, wv)),
-            (w, lambda g, qv=q.value: np.einsum("bk,bh->bkh", qv, g)),
-        ),
-    )
-
-
-def t_sum_cols(tape: Tape, x: Var) -> Var:
-    cols = x.value.shape[1]
-    return tape.record(
-        x.value.sum(axis=1),
-        ((x, lambda g, c=cols: np.repeat(g[:, None], c, axis=1)),),
-    )
-
-
-def t_gather_cols(tape: Tape, x: Var, idx: np.ndarray) -> Var:
-    """Pick one column per row: x (B, A) with idx (B,) gives (B,)."""
-    rows = np.arange(x.value.shape[0])
-
-    def vjp(g, rows=rows, idx=idx, shape=x.value.shape):
-        out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, (rows, idx), g)
-        return out
-
-    return tape.record(x.value[rows, idx], ((x, vjp),))
-
-
-def t_sub_from_const(tape: Tape, c: np.ndarray, x: Var) -> Var:
-    return tape.record(np.asarray(c, dtype=np.float64) - x.value, ((x, lambda g: -g),))
-
-
-def t_square(tape: Tape, x: Var) -> Var:
-    return tape.record(x.value * x.value, ((x, lambda g, xv=x.value: 2.0 * xv * g),))
-
-
-def t_mean(tape: Tape, x: Var) -> Var:
-    count = x.value.size
-    return tape.record(
-        np.float64(x.value.mean()),
-        ((x, lambda g, n=count, s=x.value.shape: np.full(s, float(g) / n)),),
-    )
-
-
-class TapeParams:
-    """Lazily created leaf variables for the entries of one layout."""
-
-    def __init__(self, tape: Tape, layout: ParamLayout, values: np.ndarray):
-        layout.validate(values)
-        self.tape = tape
-        self.layout = layout
-        self.values = values
-        self._leaves: dict[str, Var] = {}
-
-    def leaf(self, name: str) -> Var:
-        node = self._leaves.get(name)
-        if node is None:
-            node = t_leaf(self.tape, self.layout.view(self.values, name))
-            self._leaves[name] = node
-        return node
-
-    def grad(self) -> np.ndarray:
-        """Flat gradient vector; untouched entries stay zero."""
-        flat = self.layout.zeros()
-        for name, node in self._leaves.items():
-            if node.grad is not None:
-                off, shape = self.layout.locate(name)
-                flat[off : off + _shape_size(shape)] = np.asarray(node.grad).ravel()
-        return flat
-
-
-# ---------------------------------------------------------------------------
 # dense networks
 
 
@@ -364,7 +176,7 @@ class DenseNet:
             b[:] = rng.uniform(-bound, bound, size=b.shape)
 
     def forward(self, layout: ParamLayout, values: np.ndarray, x) -> np.ndarray:
-        """Plain forward pass with no tape; accepts (d,) or (B, d) input."""
+        """Plain inference pass; accepts (d,) or (B, d) input."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         if single:
@@ -381,18 +193,22 @@ class DenseNet:
             x = _act_forward(act, x @ w.T + b)
         return x[0] if single else x
 
-    def forward_tape(self, tape: Tape, params: TapeParams, x) -> Var:
-        """Recorded forward pass; `x` may be a Var or a constant array."""
-        h = x if isinstance(x, Var) else t_leaf(tape, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if h.value.shape[1] != self.in_dim:
+    def forward_cache(self, layout: ParamLayout, values: np.ndarray, x) -> tuple[np.ndarray, list]:
+        """Forward pass over a (B, d) batch that also returns, per layer,
+        the (input, pre-activation) pair `backward` needs."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[1] != self.in_dim:
             raise ValueError(
-                f"{self.name}: input width {h.value.shape[1]} does not match {self.in_dim}"
+                f"{self.name}: input width {x.shape[1]} does not match {self.in_dim}"
             )
+        layers = []
         for k, act in enumerate(self.layer_activations()):
-            w = params.leaf(f"{self.name}.w{k}")
-            b = params.leaf(f"{self.name}.b{k}")
-            h = t_act(tape, t_add_row(tape, t_matmul_t(tape, h, w), b), act)
-        return h
+            w = layout.view(values, f"{self.name}.w{k}")
+            b = layout.view(values, f"{self.name}.b{k}")
+            pre = x @ w.T + b
+            layers.append((x, pre))
+            x = _act_forward(act, pre)
+        return x, layers
 
     def preactivation_margin(self, layout: ParamLayout, values: np.ndarray, x) -> float:
         """Smallest |pre-activation| seen at a relu or abs unit.
@@ -400,16 +216,52 @@ class DenseNet:
         Finite-difference checks are only meaningful away from activation
         kinks; callers can resample configurations whose margin is tiny.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        margin = np.inf
-        for k, act in enumerate(self.layer_activations()):
-            w = layout.view(values, f"{self.name}.w{k}")
-            b = layout.view(values, f"{self.name}.b{k}")
-            pre = x @ w.T + b
-            if act in ("relu", "abs"):
-                margin = min(margin, float(np.abs(pre).min()))
-            x = _act_forward(act, pre)
-        return margin
+        _, layers = self.forward_cache(layout, values, x)
+        kinks = [
+            float(np.abs(pre).min())
+            for (_, pre), act in zip(layers, self.layer_activations())
+            if act in ("relu", "abs")
+        ]
+        return min(kinks, default=np.inf)
+
+
+def backward(net: DenseNet, layout: ParamLayout, values: np.ndarray, layers, upstream, grads: np.ndarray) -> None:
+    """Reverse pass of one dense net.
+
+    `layers` is the cache of `net.forward_cache` at `values` and `upstream`
+    the gradient of the net's output. Each layer's weight and bias gradient
+    is written into its slice of the flat vector `grads`; the gradient with
+    respect to the net's input is never formed.
+    """
+    acts = net.layer_activations()
+    g = upstream
+    for k in reversed(range(len(layers))):
+        h, pre = layers[k]
+        act = acts[k]
+        if act != "identity":
+            g = g * _act_derivative(act, pre)
+        layout.view(grads, f"{net.name}.b{k}")[:] = g.sum(axis=0)
+        layout.view(grads, f"{net.name}.w{k}")[:] = g.T @ h
+        if k:
+            g = g @ layout.view(values, f"{net.name}.w{k}")
+
+
+def pick_cols_grad(g: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
+    """Gradient of x[arange(B), idx] with respect to a (B, width) matrix x.
+
+    A scatter-add into zeros rather than an assignment, so a -0.0 entry of
+    `g` lands as +0.0.
+    """
+    out = np.zeros((len(idx), width), dtype=np.float64)
+    np.add.at(out, (np.arange(len(idx)), idx), g)
+    return out
+
+
+def mean_squared_error(targets: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
+    """mean((targets - pred)^2) and its gradient with respect to `pred`."""
+    diff = targets - pred
+    value = float((diff * diff).mean())
+    return value, -(2.0 * diff * np.full(diff.shape, 1.0 / diff.size))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +333,7 @@ def central_difference_error(f, x: np.ndarray, analytic: np.ndarray, eps: float,
 
 
 def finite_diff_check(net: DenseNet, params: np.ndarray, x, eps: float = 1e-5, layout: ParamLayout | None = None) -> float:
-    """Check the tape gradient of sum(net(x)) against central differences."""
+    """Check the `backward` gradient of sum(net(x)) against central differences."""
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     if layout is None:
@@ -490,11 +342,10 @@ def finite_diff_check(net: DenseNet, params: np.ndarray, x, eps: float = 1e-5, l
     def scalar(p):
         return float(np.sum(net.forward(layout, p, x)))
 
-    tape = Tape()
-    tp = TapeParams(tape, layout, params)
-    out = net.forward_tape(tape, tp, x)
-    backward(tape, out, np.ones_like(out.value))
-    return central_difference_error(scalar, params, tp.grad(), eps)
+    out, layers = net.forward_cache(layout, params, x)
+    grads = layout.zeros()
+    backward(net, layout, params, layers, np.ones_like(out), grads)
+    return central_difference_error(scalar, params, grads, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Tests for the comparison learners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fm3q import baselines, games, oracle
 from fm3q.games import JointAction
-from fm3q.learner import TabularDataset
+from fm3q.learner import ReplayBuffer, TabularDataset
 
 
 def test_independent_zero_episodes_returns_initial_policies():
@@ -38,6 +40,30 @@ def test_independent_neural_backend_runs_and_is_deterministic():
     a = baselines.selfplay_independent_train(g, cfg)
     b = baselines.selfplay_independent_train(g, cfg)
     assert a.metrics == b.metrics
+
+
+#: sha256 of a neural IQL agent's params + loss after one update_batch;
+#: recorded with the general autodiff tape the reverse pass replaced.
+IQL_UPDATE_GOLDEN = "5c95e9f84e15ca291ce269e7cddb0417ea167e24f308ca8420ba05b2b434a212"
+
+
+def test_neural_iql_update_matches_its_golden_hash():
+    g = games.random_tabular_game(seed=5, n_states=3, n=1, m=2, actions_per_agent=3, gamma=0.7, horizon=8)
+    agent = baselines._NeuralAgent(g, "ant", 1, (16, 8), "elu", 4)
+    agent.target_params = agent.params + 0.1
+    rng = np.random.default_rng(1)
+
+    def act(aug):
+        return JointAction(tuple(int(a) for a in rng.integers(3, size=g.n)),
+                           tuple(int(a) for a in rng.integers(3, size=g.m)))
+
+    buffer = ReplayBuffer()
+    while len(buffer) < 60:
+        for ep in games.rollout(g, act, rng):
+            buffer.add(baselines._agent_record(g, ep, "ant", 1, False))
+    value = agent.update_batch(buffer.take(np.arange(len(buffer))), g.gamma, 1e-2)
+    digest = hashlib.sha256(agent.params.tobytes() + np.float64(value).tobytes()).hexdigest()
+    assert digest == IQL_UPDATE_GOLDEN
 
 
 def test_independent_round_accounting_mirrors_the_rule():

@@ -206,6 +206,32 @@ def test_eval_nashconv_of_oracle_checkpoint_is_zero(tmp_path, saddle_setup):
     assert abs(report["curves"]["nashconv"][0]["value"]) <= 1e-6
 
 
+def test_eval_nashconv_reports_the_saddle_gap_and_warns_without_a_pure_saddle(tmp_path, capsys):
+    pennies = games.matrix_team_game([[1.0, -1.0], [-1.0, 1.0]], 1, 1)
+    saddle = games.matrix_team_game([[2.0, 1.0], [1.0, 0.0]], 1, 1)
+    for label, g in (("pennies", pennies), ("saddle", saddle)):
+        game_path = tmp_path / f"{label}.json"
+        games.save_game(g, game_path)
+        ckpt_dir = tmp_path / f"{label}-ckpts"
+        ckpt_dir.mkdir()
+        doc = {"version": 1, "kind": "state_tables", "method": "oracle", "episode": 0, "seed": 0}
+        doc.update(oracle.solve_superb_q(g).policy_pair(g).to_document())
+        write_json(ckpt_dir / "ckpt_ep000000.json", doc)
+        out = tmp_path / f"{label}-eval"
+        assert main(["eval", "--checkpoints", str(ckpt_dir), "--game", str(game_path),
+                     "--mode", "nashconv", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        # the gap goes to the terminal only; the report carries the curve as before
+        assert list(report["curves"]) == ["nashconv"] and report["extras"] == {}
+        if label == "pennies":
+            assert "eval: max saddle gap=2.000e+00" in captured.out
+            assert "no pure saddle in state(s) 0" in captured.err
+        else:
+            assert "eval: max saddle gap=0.000e+00" in captured.out
+            assert captured.err == ""
+
+
 def test_eval_trend_monotone_cohort_reports_one(tmp_path):
     g = games.matrix_team_game([[1.0, 1.0], [-1.0, -1.0]], 1, 1)
     game_path = write_json(tmp_path / "game.json", games.game_to_document(g))

@@ -1,6 +1,7 @@
 """Tests for the factorized model: mixing, coherence, targets, training."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -96,7 +97,8 @@ def test_mix_forward_tabular_reads_the_joint_table(det_game):
     ja = det_game.encode_pro((0, 1))
     jb = det_game.encode_ant((1, 0))
     assert out.value == fq.q_tot[1, ja, jb]
-    assert out.tape is None
+    with pytest.raises(TypeError):
+        out.gradients()
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +231,55 @@ def test_loss_single_step_squared_error():
 
 
 def test_loss_gradients_match_finite_differences(small_game):
-    fq = small_fq(small_game, seed=4)
-    target = fq.with_params(fq.params.copy())
+    # a whole batch (B = 6) against a distinct target net, at a point where
+    # no relu or abs unit sits near its kink, with two hidden utility layers
     rng = np.random.default_rng(2)
-    aug = games.initial_augmented(small_game, 1)
-    records = []
-    for t in range(4):
-        action = select_actions(fq, aug, 1.0, rng)
-        ep = games.step(small_game, aug, action, rng=rng, t=t)
-        records.append(learner.encode_step(small_game, ep))
-        aug = ep.next_state
-    result = learner.loss(fq, target, records)
+    for seed in range(4, 40):
+        fq = small_fq(small_game, seed=seed, hidden=(6, 5))
+        target = fq.with_params(fq.params + rng.normal(scale=0.1, size=fq.params.size))
+        aug = games.initial_augmented(small_game, 1)
+        records = []
+        for t in range(6):
+            action = select_actions(fq, aug, 1.0, rng)
+            ep = games.step(small_game, aug, action, rng=rng, t=t)
+            records.append(learner.encode_step(small_game, ep))
+            aug = ep.next_state
+        batch = learner.as_batch(records)
+        if fq.preactivation_margin(batch.state_vec, batch.pro_obs, batch.ant_obs) > 1e-4:
+            break
+    else:
+        pytest.fail("no smooth configuration found")
+    result = learner.loss(fq, target, batch)
 
     def f(p):
-        return learner.loss(fq.with_params(p), target, records).value
+        return learner.loss(fq.with_params(p), target, batch).value
 
-    assert nm.central_difference_error(f, fq.params, result.grads, eps=1e-5) <= 1e-4
+    assert nm.central_difference_error(f, fq.params, result.grads, eps=1e-5) <= 1e-5
+
+
+#: sha256 of loss(...).grads.tobytes() + value.tobytes() on a B = 64 batch;
+#: recorded with the general autodiff tape the reverse pass replaced, whose
+#: gradients it must reproduce bit for bit.
+LOSS_GOLDEN = "c4142ec4d51d1408f0049e646ef3334fac2ba8e5a5f84845ecff57a04e569ac8"
+
+
+def test_loss_matches_its_golden_hash():
+    from conftest import acceptance_game
+
+    game = acceptance_game()
+    config = TrainConfig(episodes=10, learning_rate=2e-3, hidden_layers=(64,), mix_hidden_dim=32,
+                         checkpoint_every=5, seed=1)
+    result = train(game, config)
+    fq = result.fq
+    fq_target = fq.with_params(result.snapshots[0][1])
+    rng = np.random.default_rng(0)
+    buffer = ReplayBuffer()
+    while len(buffer) < 100:
+        for ep in games.rollout(game, lambda aug: select_actions(fq, aug, 0.5, rng), rng):
+            buffer.add(learner.encode_step(game, ep))
+    out = learner.loss(fq, fq_target, buffer.take(rng.choice(len(buffer), 64, replace=False)))
+    digest = hashlib.sha256(out.grads.tobytes() + np.float64(out.value).tobytes()).hexdigest()
+    assert digest == LOSS_GOLDEN
 
 
 def test_loss_rejects_empty_batch(small_game):

@@ -1,4 +1,4 @@
-"""Tests for the dense-net core: tapes, gradients, Adam, checkpoints."""
+"""Tests for the dense-net core: reverse pass, gradients, Adam, checkpoints."""
 
 import json
 
@@ -46,42 +46,30 @@ def test_forward_rejects_dimension_mismatch_and_nonfinite():
         net.forward(layout, params, np.array([1.0, np.nan, 0.0]))
 
 
+def net_gradient(net, layout, params, x):
+    """Flat gradient of sum(net(x)) from the cached forward and `backward`."""
+    out, layers = net.forward_cache(layout, params, x)
+    grads = layout.zeros()
+    nm.backward(net, layout, params, layers, np.ones_like(out), grads)
+    return grads
+
+
 def test_backward_product_rule_scalar_net():
-    # f(x) = w * x with zero bias: df/dw = x and df/dx = w
+    # f(x) = w * x with zero bias: df/dw = x (the input gradient is never formed)
     net, layout = make_net("f", (1, 1))
     params = layout.zeros()
     layout.view(params, "f.w0")[:] = 2.5
-    x = np.array([[3.0]])
-    tape = nm.Tape()
-    tp = nm.TapeParams(tape, layout, params)
-    x_var = nm.t_leaf(tape, x)
-    out = net.forward_tape(tape, tp, x_var)
-    nm.backward(tape, out, np.ones((1, 1)))
-    grads = tp.grad()
+    grads = net_gradient(net, layout, params, np.array([[3.0]]))
     w_off, _ = layout.locate("f.w0")
+    b_off, _ = layout.locate("f.b0")
     assert grads[w_off] == pytest.approx(3.0)
-    assert x_var.grad[0, 0] == pytest.approx(2.5)
+    assert grads[b_off] == pytest.approx(1.0)
 
 
 def test_abs_gradient_at_zero_is_zero():
     net, layout = make_net("f", (1, 1), out="abs")
     params = layout.zeros()  # w = 0 so the preactivation sits exactly on the kink
-    tape = nm.Tape()
-    tp = nm.TapeParams(tape, layout, params)
-    out = net.forward_tape(tape, tp, np.array([[5.0]]))
-    nm.backward(tape, out, np.ones((1, 1)))
-    assert np.all(tp.grad() == 0.0)
-
-
-def test_tape_reuse_raises():
-    net, layout = make_net("f", (2, 1))
-    params = layout.zeros()
-    tape = nm.Tape()
-    tp = nm.TapeParams(tape, layout, params)
-    out = net.forward_tape(tape, tp, np.zeros((1, 2)))
-    nm.backward(tape, out, np.ones((1, 1)))
-    with pytest.raises(nm.GradientError):
-        nm.backward(tape, out, np.ones((1, 1)))
+    assert np.all(net_gradient(net, layout, params, np.array([[5.0]])) == 0.0)
 
 
 def test_two_layer_gradient_matches_central_differences():

@@ -21,15 +21,15 @@ from .games import (
     TablePolicyPair,
     TabularGame,
     TwoTeamGame,
-    initial_augmented,
     rollout,
+    state_tables_of,
 )
 from .learner import (
     Coordinator,
     ReplayBuffer,
+    _run_episodes,
     check_exploration,
     encode_history,
-    epsilon_at,
     epsilon_greedy,
     history_feature_dim,
     round_batches,
@@ -46,7 +46,6 @@ class IndependentQConfig:
     alpha: float = 0.1
     learning_rate: float = 5e-4
     hidden_layers: tuple = (64, 64)
-    utility_activation: str = "relu"
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     epsilon_decay_fraction: float = 0.2
@@ -152,13 +151,7 @@ class IndependentPolicyPair:
         )
 
     def state_tables(self, game: TabularGame):
-        pro = np.zeros((game.n, game.n_states), dtype=np.int64)
-        ant = np.zeros((game.m, game.n_states), dtype=np.int64)
-        for s in range(game.n_states):
-            aug = initial_augmented(game, s, 1)
-            pro[:, s] = self.pro_actions(aug)
-            ant[:, s] = self.ant_actions(aug)
-        return pro, ant
+        return state_tables_of(game, lambda aug: (self.pro_actions(aug), self.ant_actions(aug)))
 
 
 @dataclass
@@ -176,11 +169,13 @@ class BaselineTrainResult:
 
 
 def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, eval_fn=None) -> BaselineTrainResult:
-    """Self-play with fully independent per-agent TD learning.
+    """Self-play with fully independent per-agent TD learning, on the
+    factorized trainer's episode schedule (`learner._run_episodes`).
 
     Mirrors the factorized trainer's coordinator arithmetic (U update steps
     per round on batches of max(1, L // U), target refresh after the round)
     but every agent trains on its own signed reward with no coordination.
+    `eval_fn(policies, episode) -> dict` adds columns to that episode's row.
     """
     config.validate()
     tab = config.backend == "tabular"
@@ -194,14 +189,8 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
             _TabularAgent(game.n_states, c, -1.0, config.alpha) for c in game.ant_action_counts
         ]
     else:
-        pro_agents = [
-            _NeuralAgent(game, "pro", i, config.hidden_layers, config.utility_activation, config.seed)
-            for i in range(game.n)
-        ]
-        ant_agents = [
-            _NeuralAgent(game, "ant", j, config.hidden_layers, config.utility_activation, config.seed)
-            for j in range(game.m)
-        ]
+        pro_agents = [_NeuralAgent(game, "pro", i, config.hidden_layers, "relu", config.seed) for i in range(game.n)]
+        ant_agents = [_NeuralAgent(game, "ant", j, config.hidden_layers, "relu", config.seed) for j in range(game.m)]
     agents = pro_agents + ant_agents
     roles = [("pro", i) for i in range(game.n)] + [("ant", j) for j in range(game.m)]
     buffers = [ReplayBuffer("large", config.buffer_capacity) for _ in agents]
@@ -209,11 +198,8 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
     policies = IndependentPolicyPair(game, pro_agents, ant_agents)
     rollout_rng = derive_rng(config.seed, "iql-rollout")
     batch_rng = derive_rng(config.seed, "iql-batches")
-    metrics: list[dict] = []
-    snapshots: list[tuple[int, TablePolicyPair]] = []
-    episodes_run = 0
-    for episode in range(1, config.episodes + 1):
-        eps = epsilon_at(config, episode - 1)
+
+    def play(episode, eps):
         act = lambda aug: epsilon_greedy(
             game, JointAction(policies.pro_actions(aug), policies.ant_actions(aug)), eps, rollout_rng
         )
@@ -232,28 +218,15 @@ def selfplay_independent_train(game: TwoTeamGame, config: IndependentQConfig, ev
                     losses.append(agent.update_batch(batch, game.gamma, config.learning_rate))
             agent.refresh_target()
         coordinator.record(episode, size, batch_size, config.updates_per_round)
-        row = {
-            "episode": episode,
-            "loss": float(np.mean(losses)) if losses else 0.0,
-            "epsilon": eps,
-            "buffer_size": size,
-            "batch_size": batch_size,
-        }
-        episodes_run = episode
-        if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
-            row.update(eval_fn(policies, episode))
-        metrics.append(row)
-        if _checkpoint_due(game, config, episode):
-            snapshots.append((episode, TablePolicyPair(*policies.state_tables(game))))
+        return losses, size, batch_size
+
+    # only a tabular game has the per-state tables a snapshot holds
+    snapshot = None
+    if getattr(game, "is_tabular", False):
+        snapshot = lambda: TablePolicyPair(*policies.state_tables(game))
+    evaluate = None if eval_fn is None else lambda episode: eval_fn(policies, episode)
+    metrics, snapshots, episodes_run = _run_episodes(config, play, evaluate, snapshot)
     return BaselineTrainResult(policies, metrics, coordinator.rounds, snapshots, episodes_run)
-
-
-def _checkpoint_due(game, config, episode: int) -> bool:
-    """Snapshot at every `checkpoint_every`-th episode and at the last one;
-    only a tabular game has the per-state tables a snapshot holds."""
-    if not (config.checkpoint_every and getattr(game, "is_tabular", False)):
-        return False
-    return episode % config.checkpoint_every == 0 or episode == config.episodes
 
 
 @dataclass(frozen=True)
@@ -302,14 +275,9 @@ class JointMinimaxQLearner:
         return self.q.max(axis=1).min(axis=1)
 
     def policy_pair(self) -> TablePolicyPair:
-        game = self.game
-        col_max = self.q.max(axis=1)
-        row_min = self.q.min(axis=2)
-        ant_joint = np.argmin(col_max, axis=1)
-        pro_joint = np.argmax(row_min, axis=1)
-        pro = np.array([game.decode_pro(int(j)) for j in pro_joint]).T
-        ant = np.array([game.decode_ant(int(j)) for j in ant_joint]).T
-        return TablePolicyPair(pro, ant)
+        pro_joint = np.argmax(self.q.min(axis=2), axis=1)
+        ant_joint = np.argmin(self.q.max(axis=1), axis=1)
+        return TablePolicyPair.from_joint(self.game, pro_joint, ant_joint)
 
 
 def joint_minimaxq_update(learner: JointMinimaxQLearner, ep_step, alpha: float, gamma: float) -> np.ndarray:
@@ -330,7 +298,8 @@ def joint_minimaxq_update(learner: JointMinimaxQLearner, ep_step, alpha: float, 
 
 
 def joint_minimax_train(game: TabularGame, config: IndependentQConfig, eval_fn=None) -> BaselineTrainResult:
-    """Online joint minimax Q with one TD update per environment step.
+    """Online joint minimax Q with one TD update per environment step, on
+    the factorized trainer's episode schedule (`learner._run_episodes`).
 
     Each episode plays the greedy table pair frozen at its start; one draw
     per step swaps in a uniformly random joint action with probability
@@ -342,10 +311,8 @@ def joint_minimax_train(game: TabularGame, config: IndependentQConfig, eval_fn=N
     check_exploration(config)
     lrn = JointMinimaxQLearner(game)
     rng = derive_rng(config.seed, "jminimax")
-    metrics = []
-    snapshots = []
-    for episode in range(1, config.episodes + 1):
-        eps = epsilon_at(config, episode - 1)
+
+    def play(episode, eps):
         alpha = max(0.05, config.alpha / (1.0 + 0.01 * episode))
         pair = lrn.policy_pair()
 
@@ -359,13 +326,11 @@ def joint_minimax_train(game: TabularGame, config: IndependentQConfig, eval_fn=N
 
         for ep_step in rollout(game, act, rng):
             joint_minimaxq_update(lrn, ep_step, alpha, game.gamma)
-        row = {"episode": episode, "loss": 0.0, "epsilon": eps, "buffer_size": 0, "batch_size": 0}
-        if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
-            row.update(eval_fn(lrn.policy_pair(), episode))
-        metrics.append(row)
-        if _checkpoint_due(game, config, episode):
-            snapshots.append((episode, lrn.policy_pair()))
-    return BaselineTrainResult(lrn.policy_pair(), metrics, [], snapshots, config.episodes)
+        return [], 0, 0
+
+    evaluate = None if eval_fn is None else lambda episode: eval_fn(lrn.policy_pair(), episode)
+    metrics, snapshots, episodes_run = _run_episodes(config, play, evaluate, lrn.policy_pair)
+    return BaselineTrainResult(lrn.policy_pair(), metrics, [], snapshots, episodes_run)
 
 
 def joint_minimax_sweeps(

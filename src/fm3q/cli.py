@@ -21,8 +21,6 @@ import numpy as np
 from . import __version__
 from . import baselines, evaluation, games, learner, oracle
 
-METRIC_COLUMNS = ("episode", "loss", "epsilon", "buffer_size", "batch_size")
-
 
 class ConfigError(ValueError):
     """Schema violation; carries the dotted field path."""
@@ -175,8 +173,8 @@ def _load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
 
 
 def write_metrics_csv(path: str, metrics: list[dict]) -> None:
-    extras = sorted({k for row in metrics for k in row} - set(METRIC_COLUMNS))
-    columns = list(METRIC_COLUMNS) + extras
+    extras = sorted({k for row in metrics for k in row} - set(learner.METRIC_COLUMNS))
+    columns = list(learner.METRIC_COLUMNS) + extras
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -215,16 +213,8 @@ def _tabular_eval_fn(game, tol: float = 1e-8):
 
 
 def _write_state_tables(ckpt_dir: str, pair, game, method: str, episode: int, seed: int) -> None:
-    pro, ant = pair.state_tables(game)
-    doc = {
-        "version": 1,
-        "kind": "state_tables",
-        "method": method,
-        "episode": episode,
-        "seed": seed,
-        "pro": pro.tolist(),
-        "ant": ant.tolist(),
-    }
+    doc = games.TablePolicyPair(*pair.state_tables(game)).to_document()
+    doc.update(version=1, method=method, episode=episode, seed=seed)
     _write_json(os.path.join(ckpt_dir, f"ckpt_ep{episode:06d}.json"), doc)
 
 

@@ -139,21 +139,18 @@ def round_robin(
     game: TwoTeamGame,
     episodes_per_pair: int = 4,
     seed: int = 0,
-    exact: bool | None = None,
 ) -> tuple[PayoffTable, np.ndarray, np.ndarray]:
     """All ordered pairs cross-play; returns the payoff table, the raw
     round-robin sums, and their min-max normalization to [0, 1].
 
     On tabular games with table-extractable policies the ordered pairs are
     scored by exact policy evaluation (match count 0, half-width 0) instead
-    of rollouts; pass `exact=False` to force sampled matches. When every
-    contestant scores the same the normalization is degenerate and all
-    entries report 0.5.
+    of rollouts. When every contestant scores the same the normalization is
+    degenerate and all entries report 0.5.
     """
     if len(checkpoints) < 2:
         raise ValueError("a round robin needs at least 2 checkpoints")
-    if exact is None:
-        exact = all(_supports_exact(game, c.policies) for c in checkpoints)
+    exact = all(_supports_exact(game, c.policies) for c in checkpoints)
     count = len(checkpoints)
     mean = np.zeros((count, count))
     matches = np.zeros((count, count), dtype=np.int64)

@@ -401,6 +401,18 @@ def _check_joint_guard(pro_counts, ant_counts):
         )
 
 
+def _random_game_setup(seed: int, n_states: int, n: int, m: int, actions_per_agent: int):
+    """Checked action counts of a seeded random game, its rng before any
+    draw, and the joint action counts: (pro_counts, ant_counts, rng, ja, jb)."""
+    if n_states < 1 or n < 1 or m < 1 or actions_per_agent < 1:
+        raise ValueError("state and agent counts must be at least 1")
+    pro_counts = (actions_per_agent,) * n
+    ant_counts = (actions_per_agent,) * m
+    _check_joint_guard(pro_counts, ant_counts)
+    rng = np.random.default_rng(seed)
+    return pro_counts, ant_counts, rng, joint_count(pro_counts), joint_count(ant_counts)
+
+
 def random_tabular_game(
     seed: int,
     n_states: int,
@@ -412,13 +424,7 @@ def random_tabular_game(
 ) -> TabularGame:
     """Seeded random game: normalized uniform(0,1] transition rows, rewards
     uniform in [-1, 1], fully observable."""
-    if n_states < 1 or n < 1 or m < 1 or actions_per_agent < 1:
-        raise ValueError("state and agent counts must be at least 1")
-    pro_counts = (actions_per_agent,) * n
-    ant_counts = (actions_per_agent,) * m
-    _check_joint_guard(pro_counts, ant_counts)
-    rng = np.random.default_rng(seed)
-    ja, jb = joint_count(pro_counts), joint_count(ant_counts)
+    pro_counts, ant_counts, rng, ja, jb = _random_game_setup(seed, n_states, n, m, actions_per_agent)
     raw = rng.random((n_states, ja, jb, n_states))
     np.subtract(1.0, raw, out=raw)  # draws in (0, 1]
     raw /= raw.sum(axis=3, keepdims=True)
@@ -446,13 +452,7 @@ def random_deterministic_game(
     initial_state: int | None = None,
 ) -> TabularGame:
     """Like random_tabular_game but every (s, a, b) jumps to one fixed state."""
-    if n_states < 1 or n < 1 or m < 1 or actions_per_agent < 1:
-        raise ValueError("state and agent counts must be at least 1")
-    pro_counts = (actions_per_agent,) * n
-    ant_counts = (actions_per_agent,) * m
-    _check_joint_guard(pro_counts, ant_counts)
-    rng = np.random.default_rng(seed)
-    ja, jb = joint_count(pro_counts), joint_count(ant_counts)
+    pro_counts, ant_counts, rng, ja, jb = _random_game_setup(seed, n_states, n, m, actions_per_agent)
     successors = rng.integers(n_states, size=(n_states, ja, jb))
     rewards = rng.uniform(-1.0, 1.0, size=(n_states, ja, jb))
     return TabularGame(
@@ -489,15 +489,9 @@ def random_saddle_game(
     matrices are exactly the fixed point. Deviations from the saddle stay
     meaningful because the whole matrix, not just the saddle cell, is pinned.
     """
-    if n_states < 1 or n < 1 or m < 1 or actions_per_agent < 1:
-        raise ValueError("state and agent counts must be at least 1")
+    pro_counts, ant_counts, rng, ja, jb = _random_game_setup(seed, n_states, n, m, actions_per_agent)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    pro_counts = (actions_per_agent,) * n
-    ant_counts = (actions_per_agent,) * m
-    _check_joint_guard(pro_counts, ant_counts)
-    rng = np.random.default_rng(seed)
-    ja, jb = joint_count(pro_counts), joint_count(ant_counts)
     scale = 1.0 / (1.0 + gamma)
     matrices = np.zeros((n_states, ja, jb))
     values = np.zeros(n_states)
@@ -826,6 +820,24 @@ class TablePolicyPair:
     def from_document(cls, doc: dict) -> "TablePolicyPair":
         return cls(np.asarray(doc["pro"], dtype=np.int64), np.asarray(doc["ant"], dtype=np.int64))
 
+    @classmethod
+    def from_joint(cls, game: TabularGame, pro_joint, ant_joint) -> "TablePolicyPair":
+        """Per-agent tables from one joint action index per state and team."""
+        pro = np.array([game.decode_pro(int(j)) for j in pro_joint]).T
+        ant = np.array([game.decode_ant(int(j)) for j in ant_joint]).T
+        return cls(pro, ant)
+
+
+def state_tables_of(game: TabularGame, profile):
+    """(pro, ant) action tables, (n, S) and (m, S), of a policy pair whose
+    `profile(aug) -> (pro_actions, ant_actions)` is read once per state at
+    window 1."""
+    pro = np.zeros((game.n, game.n_states), dtype=np.int64)
+    ant = np.zeros((game.m, game.n_states), dtype=np.int64)
+    for s in range(game.n_states):
+        pro[:, s], ant[:, s] = profile(initial_augmented(game, s, 1))
+    return pro, ant
+
 
 class GridBotPair:
     """Scripted target-seeking policy for the grid game.
@@ -861,11 +873,7 @@ def myopic_bot_pair(game: TabularGame) -> TablePolicyPair:
     is best in immediate reward against a uniformly random opponent."""
     mean_over_ant = game.R.mean(axis=2)  # (S, JA)
     mean_over_pro = game.R.mean(axis=1)  # (S, JB)
-    pro_joint = np.argmax(mean_over_ant, axis=1)
-    ant_joint = np.argmin(mean_over_pro, axis=1)
-    pro = np.array([game.decode_pro(int(j)) for j in pro_joint]).T
-    ant = np.array([game.decode_ant(int(j)) for j in ant_joint]).T
-    return TablePolicyPair(pro, ant)
+    return TablePolicyPair.from_joint(game, np.argmax(mean_over_ant, axis=1), np.argmin(mean_over_pro, axis=1))
 
 
 def scripted_bot_pair(game: TwoTeamGame):

@@ -35,6 +35,7 @@ from .games import (
     TabularGame,
     initial_augmented,
     rollout,
+    state_tables_of,
 )
 from .seeding import derive_rng
 
@@ -867,14 +868,7 @@ class GreedyPolicyPair:
                 f"a window-{self.window} policy acts on observation histories, not states; "
                 "it has no per-state action table"
             )
-        pro = np.zeros((game.n, game.n_states), dtype=np.int64)
-        ant = np.zeros((game.m, game.n_states), dtype=np.int64)
-        for s in range(game.n_states):
-            aug = initial_augmented(game, s, 1)
-            g_pro, g_ant = greedy_individual(self.fq, aug)
-            pro[:, s] = g_pro
-            ant[:, s] = g_ant
-        return pro, ant
+        return state_tables_of(game, lambda aug: greedy_individual(self.fq, aug))
 
 
 def extract_policies(fq) -> GreedyPolicyPair:
@@ -1003,8 +997,6 @@ class TrainConfig:
     learning_rate: float = 5e-4
     hidden_layers: tuple = (64, 64)
     mix_hidden_dim: int = 32
-    utility_activation: str = "relu"
-    mixer_hidden_activation: str = "elu"
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     epsilon_decay_fraction: float = 0.2
@@ -1070,14 +1062,58 @@ class TrainResult:
     buffer_size: int
 
 
+#: The columns every trainer writes for each episode; evals add their own.
+METRIC_COLUMNS = ("episode", "loss", "epsilon", "buffer_size", "batch_size")
+
+
+# Private on purpose: the benchmark tracer wraps only public functions, so the
+# time spent here stays in the self time of the trainer that calls it
+# (`baselines.selfplay_independent_train.self_ms` is a per-layer metric).
+def _run_episodes(config, play, eval_fn, snapshot, stop_below=None):
+    """The episode schedule every trainer shares.
+
+    Per episode: `play(episode, eps) -> (losses, buffer_size, batch_size)`
+    at the `epsilon_at` exploration rate, one `METRIC_COLUMNS` row (loss is
+    the mean of `losses`, 0.0 when there are none), `eval_fn(episode) ->
+    dict` every `eval_every` episodes with its columns added to the row, and
+    `(episode, snapshot())` every `checkpoint_every` episodes and at the
+    last episode run. A ``nashconv`` eval at or under `stop_below` ends the
+    run after that episode. `eval_fn` or `snapshot` may be None. Returns
+    the rows, the snapshots and the number of episodes run.
+    """
+    metrics: list[dict] = []
+    snapshots: list[tuple] = []
+    episodes_run = 0
+    for episode in range(1, config.episodes + 1):
+        eps = epsilon_at(config, episode - 1)
+        losses, buffer_size, batch_size = play(episode, eps)
+        loss_value = float(np.mean(losses)) if losses else 0.0
+        row = dict(zip(METRIC_COLUMNS, (episode, loss_value, eps, buffer_size, batch_size)))
+        episodes_run = episode
+        evaluated = {}
+        if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
+            evaluated = eval_fn(episode)
+            row.update(evaluated)
+        metrics.append(row)
+        stop = stop_below is not None and "nashconv" in evaluated and evaluated["nashconv"] <= stop_below
+        last = stop or episode == config.episodes
+        if snapshot is not None and config.checkpoint_every and (episode % config.checkpoint_every == 0 or last):
+            snapshots.append((episode, snapshot()))
+        if stop:
+            break
+    return metrics, snapshots, episodes_run
+
+
 def train(game: TwoTeamGame, config: TrainConfig, eval_fn=None) -> TrainResult:
-    """Online learning loop: per episode roll out with epsilon-greedy play,
-    store the whole trajectory, run one round of U updates with batch size
+    """Online learning on the shared episode schedule (`_run_episodes`):
+    per episode roll out with epsilon-greedy play, store the whole
+    trajectory, run one round of U updates with batch size
     B = max(1, L // U), then refresh the target parameters.
 
     `eval_fn(fq, episode) -> dict` runs at the configured cadence; when it
     reports a value under `stop_eval_below` for the key ``nashconv`` the run
-    stops early (the budget is an upper bound, not a quota).
+    stops early (the budget is an upper bound, not a quota). `snapshots`
+    holds (episode, params copy) at each checkpoint episode and the last.
     """
     config.validate()
     fq = build_neural_fq(
@@ -1086,62 +1122,33 @@ def train(game: TwoTeamGame, config: TrainConfig, eval_fn=None) -> TrainResult:
         mix_hidden_dim=config.mix_hidden_dim,
         seed=config.seed,
         window=config.history_window,
-        utility_activation=config.utility_activation,
-        mixer_hidden_activation=config.mixer_hidden_activation,
     )
-    target_params = fq.params.copy()
     adam = nm.AdamState.for_size(fq.layout.size)
     buffer = ReplayBuffer(config.buffer_mode, config.buffer_capacity)
     coordinator = Coordinator(config.updates_per_round)
     rollout_rng = derive_rng(config.seed, "rollout")
     batch_rng = derive_rng(config.seed, "batches")
-    metrics: list[dict] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
-    episodes_run = 0
-    for episode in range(1, config.episodes + 1):
-        eps = epsilon_at(config, episode - 1)
+
+    def play(episode, eps):
         act = lambda aug: select_actions(fq, aug, eps, rollout_rng)
         for ep_step in rollout(game, act, rollout_rng, config.history_window):
             buffer.add(encode_step(game, ep_step))
         size = len(buffer)
         batch_size = coordinator.batch_size(size)
+        # frozen for the round: the refresh after the previous round
+        target = fq.with_params(fq.params.copy())
         losses = []
         for idx in round_batches(batch_rng, size, config.updates_per_round, batch_size):
-            result = loss(
-                fq,
-                fq.with_params(target_params),
-                buffer.take(idx),
-                exhaustive_check=config.exhaustive_target_check,
-            )
+            result = loss(fq, target, buffer.take(idx), exhaustive_check=config.exhaustive_target_check)
             fq.params = nm.adam_step(fq.params, result.grads, adam, config.learning_rate)
             losses.append(result.value)
-        target_params = fq.params.copy()
         coordinator.record(episode, size, batch_size, len(losses))
-        row = {
-            "episode": episode,
-            "loss": float(np.mean(losses)),
-            "epsilon": eps,
-            "buffer_size": size,
-            "batch_size": batch_size,
-        }
-        episodes_run = episode
-        stop = False
-        if eval_fn is not None and config.eval_every and episode % config.eval_every == 0:
-            evaluated = eval_fn(fq, episode)
-            row.update(evaluated)
-            if (
-                config.stop_eval_below is not None
-                and "nashconv" in evaluated
-                and evaluated["nashconv"] <= config.stop_eval_below
-            ):
-                stop = True
-        metrics.append(row)
-        if config.checkpoint_every and episode % config.checkpoint_every == 0:
-            snapshots.append((episode, fq.params.copy()))
-        if stop:
-            break
-    if config.checkpoint_every and (not snapshots or snapshots[-1][0] != episodes_run) and episodes_run:
-        snapshots.append((episodes_run, fq.params.copy()))
+        return losses, size, batch_size
+
+    evaluate = None if eval_fn is None else lambda episode: eval_fn(fq, episode)
+    metrics, snapshots, episodes_run = _run_episodes(
+        config, play, evaluate, lambda: fq.params.copy(), config.stop_eval_below
+    )
     return TrainResult(fq, metrics, coordinator.rounds, snapshots, episodes_run, len(buffer))
 
 

@@ -51,9 +51,7 @@ class OracleSolution:
         return bool(np.max(self.saddle_gap) <= tol)
 
     def policy_pair(self, game: TabularGame) -> TablePolicyPair:
-        pro = np.array([game.decode_pro(int(j)) for j in self.pro_policy]).T
-        ant = np.array([game.decode_ant(int(j)) for j in self.ant_policy]).T
-        return TablePolicyPair(pro, ant)
+        return TablePolicyPair.from_joint(game, self.pro_policy, self.ant_policy)
 
     def to_document(self) -> dict:
         s, ja, jb = self.q_star.shape

@@ -101,16 +101,20 @@ def test_train_iql_method(tmp_path):
 
 @pytest.mark.parametrize("method", ["iql", "jminimax"])
 def test_baselines_honour_checkpoint_and_eval_cadence(tmp_path, method):
-    path = smoke_config(tmp_path, method=method, episodes=6, checkpoint_every=2, eval_every=3)
-    out = tmp_path / "out"
-    assert main(["train", "--config", path, "--out", str(out)]) == 0
-    assert sorted(os.listdir(out / "checkpoints")) == [f"ckpt_ep{e:06d}.json" for e in (2, 4, 6)]
-    for name in os.listdir(out / "checkpoints"):
-        doc = json.loads((out / "checkpoints" / name).read_text())
-        assert (doc["method"], doc["episode"]) == (method, int(name[7:13]))
-    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["episode"] for row in rows if row.get("nashconv")] == ["3", "6"]
+    # the last episode is snapshotted too when it is not a multiple of the cadence
+    for episodes, checkpoints, evals in ((6, (2, 4, 6), ["3", "6"]), (5, (2, 4, 5), ["3"])):
+        run = tmp_path / f"run{episodes}"
+        run.mkdir()
+        path = smoke_config(run, method=method, episodes=episodes, checkpoint_every=2, eval_every=3)
+        out = run / "out"
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out / "checkpoints")) == [f"ckpt_ep{e:06d}.json" for e in checkpoints]
+        for name in os.listdir(out / "checkpoints"):
+            doc = json.loads((out / "checkpoints" / name).read_text())
+            assert (doc["method"], doc["episode"]) == (method, int(name[7:13]))
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["episode"] for row in rows if row.get("nashconv")] == evals
 
 
 def test_oracle_command_gamma_zero(tmp_path, capsys):

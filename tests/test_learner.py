@@ -597,6 +597,27 @@ def test_train_is_deterministic_given_seed(small_game):
     assert a.metrics == b.metrics
 
 
+def test_train_exhaustive_target_check_changes_nothing(small_game):
+    cfg = TrainConfig(episodes=3, updates_per_round=2, hidden_layers=(8,), mix_hidden_dim=4, seed=4)
+    plain = train(small_game, cfg)
+    checked = train(small_game, dataclasses.replace(cfg, exhaustive_target_check=True))
+    assert checked.metrics == plain.metrics
+    assert np.array_equal(checked.fq.params, plain.fq.params)
+
+
+def test_train_early_stop_between_checkpoints_keeps_the_stop_episode(small_game):
+    def eval_fn(fq, episode):
+        return {"nashconv": 1.0 if episode < 3 else 0.0}
+
+    cfg = TrainConfig(episodes=10, hidden_layers=(8,), mix_hidden_dim=4, eval_every=1,
+                      checkpoint_every=2, stop_eval_below=0.5)
+    result = train(small_game, cfg, eval_fn=eval_fn)
+    assert result.episodes_run == 3
+    assert [row["episode"] for row in result.metrics] == [1, 2, 3]
+    assert [episode for episode, _ in result.snapshots] == [2, 3]
+    assert np.array_equal(result.snapshots[-1][1], result.fq.params)
+
+
 def test_train_target_refresh_is_bit_exact(small_game, monkeypatch):
     observed = []
     original = learner.td_targets_batch

@@ -138,13 +138,13 @@ class IndependentPolicyPair:
         history = s_aug.pro_histories[idx] if team == "pro" else s_aug.ant_histories[idx]
         return agent.values(encode_history(self.game, team, idx, history))
 
-    def pro_actions(self, s_aug: AugmentedState, rng=None):
+    def pro_actions(self, s_aug: AugmentedState):
         return tuple(
             int(np.argmax(self._agent_values(agent, "pro", i, s_aug)))
             for i, agent in enumerate(self.pro_agents)
         )
 
-    def ant_actions(self, s_aug: AugmentedState, rng=None):
+    def ant_actions(self, s_aug: AugmentedState):
         return tuple(
             int(np.argmax(self._agent_values(agent, "ant", j, s_aug)))
             for j, agent in enumerate(self.ant_agents)

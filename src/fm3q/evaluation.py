@@ -7,6 +7,7 @@ A "checkpoint" here is anything that can play both sides: an object with
 checkpoints runs both role assignments and scores each side with its mean
 discounted Protagonist-frame return, so payoff cells are antisymmetric by
 bookkeeping and every recorded match satisfies pro + ant = 0 exactly.
+Each side of a match is asked only for its own team's actions.
 """
 
 from __future__ import annotations

@@ -592,29 +592,31 @@ class TabularFactorizedQ:
 # shared model operations
 
 
-def _individual_values(fq, s_aug: AugmentedState):
-    """Per-agent value vectors at one augmented state, plus the state vector."""
+def _team_values(fq, s_aug: AugmentedState, team: str) -> list[np.ndarray]:
+    """One team's per-agent value vectors at one augmented state; reads only
+    that team's tables or nets."""
+    if team not in ("pro", "ant"):
+        raise ValueError(f"team must be 'pro' or 'ant', got {team!r}")
     if fq.backend == "tabular":
-        s = s_aug.state
-        pro = [t[s] for t in fq.pro_tables]
-        ant = [t[s] for t in fq.ant_tables]
-        return pro, ant, None
-    game = fq.game
-    pro = [
-        fq.pro_values(i, encode_history(game, "pro", i, s_aug.pro_histories[i]))
-        for i in range(game.n)
-    ]
-    ant = [
-        fq.ant_values(j, encode_history(game, "ant", j, s_aug.ant_histories[j]))
-        for j in range(game.m)
-    ]
-    return pro, ant, game.state_vector(s_aug.state)
+        return [t[s_aug.state] for t in (fq.pro_tables if team == "pro" else fq.ant_tables)]
+    values, histories = (
+        (fq.pro_values, s_aug.pro_histories) if team == "pro" else (fq.ant_values, s_aug.ant_histories)
+    )
+    return [values(k, encode_history(fq.game, team, k, h)) for k, h in enumerate(histories)]
+
+
+def _argmaxes(values) -> tuple[int, ...]:
+    return tuple(int(np.argmax(v)) for v in values)
+
+
+def greedy_team(fq, s_aug: AugmentedState, team: str) -> tuple[int, ...]:
+    """One team's per-agent argmax (lowest index wins ties)."""
+    return _argmaxes(_team_values(fq, s_aug, team))
 
 
 def greedy_individual(fq, s_aug: AugmentedState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-agent argmax profile (lowest index wins ties)."""
-    pro, ant, _ = _individual_values(fq, s_aug)
-    return tuple(int(np.argmax(v)) for v in pro), tuple(int(np.argmax(v)) for v in ant)
+    return _argmaxes(_team_values(fq, s_aug, "pro")), _argmaxes(_team_values(fq, s_aug, "ant"))
 
 
 def joint_q_matrix(fq, s_aug: AugmentedState) -> np.ndarray:
@@ -625,7 +627,8 @@ def joint_q_matrix(fq, s_aug: AugmentedState) -> np.ndarray:
         raise ValueError("joint action space exceeds the enumeration guard")
     if fq.backend == "tabular":
         return fq.q_tot_table()[s_aug.state]
-    pro_vals, ant_vals, state_vec = _individual_values(fq, s_aug)
+    pro_vals, ant_vals = _team_values(fq, s_aug, "pro"), _team_values(fq, s_aug, "ant")
+    state_vec = game.state_vector(s_aug.state)
     ja_actions = np.array([game.decode_pro(j) for j in range(ja)])
     jb_actions = np.array([game.decode_ant(j) for j in range(jb)])
     pro_chosen = np.column_stack([pro_vals[i][ja_actions[:, i]] for i in range(game.n)])  # (JA, n)
@@ -837,29 +840,21 @@ def epsilon_greedy(game: TwoTeamGame, greedy: JointAction, epsilon: float, rng: 
 
 
 class GreedyPolicyPair:
-    """Decentralized per-agent policies induced by the individual argmaxes."""
+    """Decentralized per-agent policies induced by the individual argmaxes.
+    Each side reads only its own team's nets or tables."""
 
-    def __init__(self, fq, epsilon: float = 0.0):
+    def __init__(self, fq):
         self.fq = fq
-        self.epsilon = float(epsilon)
 
     @property
     def window(self) -> int:
         return self.fq.window
 
-    def pro_actions(self, s_aug: AugmentedState, rng: np.random.Generator | None = None):
-        return self._act(s_aug, rng).pro
+    def pro_actions(self, s_aug: AugmentedState) -> tuple[int, ...]:
+        return greedy_team(self.fq, s_aug, "pro")
 
-    def ant_actions(self, s_aug: AugmentedState, rng: np.random.Generator | None = None):
-        return self._act(s_aug, rng).ant
-
-    def _act(self, s_aug, rng) -> JointAction:
-        if self.epsilon > 0.0:
-            if rng is None:
-                raise ValueError("an exploring policy needs an rng")
-            return select_actions(self.fq, s_aug, self.epsilon, rng)
-        pro, ant = greedy_individual(self.fq, s_aug)
-        return JointAction(pro, ant)
+    def ant_actions(self, s_aug: AugmentedState) -> tuple[int, ...]:
+        return greedy_team(self.fq, s_aug, "ant")
 
     def state_tables(self, game: TabularGame):
         """Explicit per-state actions (tabular games, window 1)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fm3q import evaluation, games, oracle
+from fm3q import evaluation, games, numerics as nm, oracle
 from fm3q.evaluation import Checkpoint, ablate_buffer, optimization_trend, play_match, round_robin
 from fm3q.games import TablePolicyPair
 from fm3q.learner import GreedyPolicyPair, TrainConfig, build_neural_fq, train
@@ -41,6 +41,37 @@ def test_match_is_deterministic_given_seed():
     a = play_match(g, pair, pair, episodes=5, rng=np.random.default_rng(7))
     b = play_match(g, pair, pair, episodes=5, rng=np.random.default_rng(7))
     assert np.array_equal(a.pro_returns, b.pro_returns)
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    forward = nm.DenseNet.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(nm.DenseNet, "forward", counted)
+    return calls
+
+
+def test_grid_match_runs_only_each_sides_own_nets(monkeypatch):
+    g = games.grid_keepaway_game(games.GridConfig(horizon=6))
+    pro_side = GreedyPolicyPair(build_neural_fq(g, hidden_layers=(8,), mix_hidden_dim=4, seed=1))
+    ant_side = GreedyPolicyPair(build_neural_fq(g, hidden_layers=(8,), mix_hidden_dim=4, seed=2))
+    calls = count_forwards(monkeypatch)
+    play_match(g, pro_side, ant_side, episodes=1, rng=np.random.default_rng(0))
+    assert len(calls) == g.horizon * (g.n + g.m)
+    assert sorted(set(calls)) == ["ant0", "ant1", "pro0", "pro1"]
+
+
+def test_grid_match_against_the_bot_runs_only_the_model_side(monkeypatch):
+    g = games.grid_keepaway_game(games.GridConfig(horizon=6))
+    model = GreedyPolicyPair(build_neural_fq(g, hidden_layers=(8,), mix_hidden_dim=4, seed=1))
+    calls = count_forwards(monkeypatch)
+    play_match(g, model, games.GridBotPair(g), episodes=1, rng=np.random.default_rng(0))
+    assert len(calls) == g.horizon * g.n
+    assert set(calls) == {"pro0", "pro1"}
 
 
 def rps_game():

@@ -446,6 +446,71 @@ def test_extract_policies_constant_tables_tie_break_to_zero(det_game):
     assert np.all(pro == 0) and np.all(ant == 0)
 
 
+def visited_states(game, window=1):
+    """Augmented states met along two episodes of uniformly random play."""
+    rng = np.random.default_rng(0)
+
+    def act(aug):
+        return JointAction(
+            tuple(int(rng.integers(c)) for c in game.pro_action_counts),
+            tuple(int(rng.integers(c)) for c in game.ant_action_counts),
+        )
+
+    return [ep.state for _ in range(2) for ep in games.rollout(game, act, rng, window)]
+
+
+def assert_team_halves_match(fq, states):
+    for aug in states:
+        pro, ant = learner.greedy_individual(fq, aug)
+        assert learner.greedy_team(fq, aug, "pro") == pro
+        assert learner.greedy_team(fq, aug, "ant") == ant
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_greedy_team_matches_greedy_individual_on_tabular_games(window):
+    g = games.random_deterministic_game(seed=9, n_states=3, n=2, m=2,
+                                        actions_per_agent=3, gamma=0.6, horizon=6)
+    fq = build_neural_fq(g, hidden_layers=(8,), mix_hidden_dim=4, seed=2, window=window)
+    states = visited_states(g, window)
+    assert {aug.window for aug in states} == {window}
+    assert_team_halves_match(fq, states)
+
+
+def test_greedy_team_matches_greedy_individual_on_grid():
+    g = games.grid_keepaway_game(games.GridConfig(horizon=8))
+    assert_team_halves_match(small_fq(g, seed=3), visited_states(g))
+
+
+def test_greedy_team_matches_greedy_individual_on_tables(det_game):
+    rng = np.random.default_rng(5)
+    fq = TabularFactorizedQ(
+        det_game,
+        [rng.normal(size=(det_game.n_states, c)) for c in det_game.pro_action_counts],
+        [rng.normal(size=(det_game.n_states, c)) for c in det_game.ant_action_counts],
+    )
+    assert_team_halves_match(fq, [games.initial_augmented(det_game, s) for s in range(det_game.n_states)])
+
+
+def test_greedy_team_breaks_ties_to_the_lowest_index():
+    g = games.matrix_team_game(np.zeros((3, 3)), 1, 1)
+    fq = small_fq(g)
+    params = fq.layout.zeros()
+    # zero weights make each net output its last bias: actions 1 and 2 tie
+    # on top for Pro, actions 0 and 2 for Ant
+    fq.layout.view(params, "pro0.b1")[:] = (0.0, 1.0, 1.0)
+    fq.layout.view(params, "ant0.b1")[:] = (2.0, 0.0, 2.0)
+    fq = fq.with_params(params)
+    aug = games.initial_augmented(g, 0)
+    assert learner.greedy_team(fq, aug, "pro") == (1,)
+    assert learner.greedy_team(fq, aug, "ant") == (0,)
+    assert learner.greedy_individual(fq, aug) == ((1,), (0,))
+
+
+def test_greedy_team_refuses_an_unknown_team(small_game):
+    with pytest.raises(ValueError, match="team"):
+        learner.greedy_team(small_fq(small_game), games.initial_augmented(small_game, 0), "both")
+
+
 # ---------------------------------------------------------------------------
 # buffer and coordinator
 

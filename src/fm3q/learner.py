@@ -21,7 +21,7 @@ Two backends share the operation surface:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -887,28 +887,28 @@ class TabularDataset:
     r: np.ndarray
     s_next: np.ndarray
     done: np.ndarray
+    # game shape -> (flat cell index, float64 per-cell counts); filled by
+    # `cell_plan` only once a plan passes the coverage check, so s, ja and jb
+    # must not be written in place after the first sweep
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.s.size
 
-    @classmethod
-    def from_steps(cls, game: TabularGame, steps) -> "TabularDataset":
-        s, ja, jb, r, s2, done = [], [], [], [], [], []
-        for ep in steps:
-            s.append(ep.state.state)
-            ja.append(game.encode_pro(ep.action.pro))
-            jb.append(game.encode_ant(ep.action.ant))
-            r.append(ep.reward)
-            s2.append(ep.next_state.state)
-            done.append(ep.done)
-        return cls(
-            np.array(s, dtype=np.int64),
-            np.array(ja, dtype=np.int64),
-            np.array(jb, dtype=np.int64),
-            np.array(r, dtype=np.float64),
-            np.array(s2, dtype=np.int64),
-            np.array(done, dtype=bool),
-        )
+    def cell_plan(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (s, ja, jb) cell index of every row and the flat per-cell row
+        counts for a game whose `R.shape` is `shape`; raises `CoverageError`
+        while any cell has no row."""
+        plan = self._plans.get(shape)
+        if plan is None:
+            cell = np.ravel_multi_index((self.s, self.ja, self.jb), shape)
+            counts = np.bincount(cell, minlength=int(np.prod(shape))).astype(np.float64)
+            if np.any(counts == 0):
+                coverage = counts.reshape(shape)
+                missing = [tuple(int(v) for v in idx) for idx in np.argwhere(coverage == 0)]
+                raise CoverageError(missing, coverage)
+            plan = self._plans[shape] = (cell, counts)
+        return plan
 
     @classmethod
     def full_coverage(cls, game: TabularGame, rng: np.random.Generator | None = None, repeats: int = 1) -> "TabularDataset":
@@ -943,37 +943,33 @@ def exact_operator_apply(fq: TabularFactorizedQ, dataset: TabularDataset) -> Tab
 
     The new joint table holds the expected TD target per (s, a, b) cell; the
     new individual tables are indicators at the empirical argmin-max profile
-    of each state, which keeps the tuple coherent by construction. Requires
-    every cell to appear in the dataset at least once.
+    of each state, picked for all states in one pass, which keeps the tuple
+    coherent by construction. Requires every cell to appear in the dataset
+    at least once; the dataset's cell plan (flat cell index and per-cell
+    counts) is built and coverage-checked once per game shape.
     """
     if fq.backend != "tabular":
         raise TypeError("the exact operator runs on the tabular backend")
     game = fq.game
-    if isinstance(dataset, list):
-        dataset = TabularDataset.from_steps(game, dataset)
-    shape = game.R.shape
-    cell = np.ravel_multi_index((dataset.s, dataset.ja, dataset.jb), shape)
-    counts = np.bincount(cell, minlength=game.R.size).astype(np.float64).reshape(shape)
-    if np.any(counts == 0):
-        missing = [tuple(int(v) for v in idx) for idx in np.argwhere(counts == 0)]
-        raise CoverageError(missing, counts)
-    old_table = fq.q_tot_table()
-    values = old_table.max(axis=1).min(axis=1)
-    targets = dataset.r + game.gamma * np.where(dataset.done, 0.0, values[dataset.s_next])
-    # np.bincount would sum longdouble targets in float64
+    cell, counts = dataset.cell_plan(game.R.shape)
+    values = fq.q_tot_table().max(axis=1).min(axis=1)
+    targets = dataset.r + np.where(dataset.done, 0.0, (game.gamma * values)[dataset.s_next])
+    # np.bincount would sum longdouble targets in float64; dividing in place
+    # keeps the zeroed padding bytes of a longdouble table
     sums = np.zeros(game.R.size, dtype=targets.dtype)
     np.add.at(sums, cell, targets)
-    q_new = sums.reshape(shape) / counts
-    pro_tables = [np.zeros((game.n_states, c)) for c in game.pro_action_counts]
-    ant_tables = [np.zeros((game.n_states, c)) for c in game.ant_action_counts]
-    for s in range(game.n_states):
-        b_star = int(np.argmin(q_new[s].max(axis=0)))
-        a_star = int(np.argmax(q_new[s][:, b_star]))
-        for i, a in enumerate(game.decode_pro(a_star)):
-            pro_tables[i][s, a] = 1.0
-        for j, b in enumerate(game.decode_ant(b_star)):
-            ant_tables[j][s, b] = 1.0
-    return TabularFactorizedQ(game, pro_tables, ant_tables, q_tot=q_new)
+    q_new = np.divide(sums, counts, out=sums).reshape(game.R.shape)
+    states = np.arange(game.n_states)
+    b_star = np.argmin(q_new.max(axis=1), axis=1)
+    a_star = np.argmax(q_new[states, :, b_star], axis=1)
+    indicators = []
+    # np.unravel_index is the row-major decode of games.decode_joint
+    for joint, team_counts in ((a_star, game.pro_action_counts), (b_star, game.ant_action_counts)):
+        tables = [np.zeros((game.n_states, c)) for c in team_counts]
+        for table, actions in zip(tables, np.unravel_index(joint, team_counts)):
+            table[states, actions] = 1.0
+        indicators.append(tables)
+    return TabularFactorizedQ(game, *indicators, q_tot=q_new)
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,122 @@ def test_operator_reports_missing_coverage(det_game):
         dataset.s[:-3], dataset.ja[:-3], dataset.jb[:-3],
         dataset.r[:-3], dataset.s_next[:-3], dataset.done[:-3],
     )
-    with pytest.raises(learner.CoverageError) as err:
-        exact_operator_apply(TabularFactorizedQ.zeros(det_game), clipped)
-    assert len(err.value.missing) == 3
-    assert err.value.coverage.shape == det_game.R.shape
+    # a failed cell plan is never cached, so every call checks again
+    for _ in range(2):
+        with pytest.raises(learner.CoverageError) as err:
+            exact_operator_apply(TabularFactorizedQ.zeros(det_game), clipped)
+        assert len(err.value.missing) == 3
+        assert err.value.coverage.shape == det_game.R.shape
+
+
+def reference_operator(fq, dataset):
+    """The exact operator cell by cell and state by state: the slow path the
+    one-pass operator must match bit for bit."""
+    game = fq.game
+    shape = game.R.shape
+    cell = np.ravel_multi_index((dataset.s, dataset.ja, dataset.jb), shape)
+    counts = np.bincount(cell, minlength=game.R.size).astype(np.float64).reshape(shape)
+    assert np.all(counts > 0)
+    values = fq.q_tot_table().max(axis=1).min(axis=1)
+    targets = dataset.r + game.gamma * np.where(dataset.done, 0.0, values[dataset.s_next])
+    sums = np.zeros(game.R.size, dtype=targets.dtype)
+    np.add.at(sums, cell, targets)
+    q_new = sums.reshape(shape) / counts
+    pro_tables = [np.zeros((game.n_states, c)) for c in game.pro_action_counts]
+    ant_tables = [np.zeros((game.n_states, c)) for c in game.ant_action_counts]
+    for s in range(game.n_states):
+        b_star = int(np.argmin(q_new[s].max(axis=0)))
+        a_star = int(np.argmax(q_new[s][:, b_star]))
+        for i, a in enumerate(game.decode_pro(a_star)):
+            pro_tables[i][s, a] = 1.0
+        for j, b in enumerate(game.decode_ant(b_star)):
+            ant_tables[j][s, b] = 1.0
+    return TabularFactorizedQ(game, pro_tables, ant_tables, q_tot=q_new)
+
+
+X87_PADDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize > 10
+
+
+def value_bytes(table):
+    """The bytes of each element that arithmetic writes: an x87 extended
+    float stores 10 and leaves the rest of its slot as padding."""
+    width = 10 if table.dtype == np.longdouble and X87_PADDED else table.itemsize
+    return np.ascontiguousarray(table).view(np.uint8).reshape(-1, table.itemsize)[:, :width].tobytes()
+
+
+OPERATOR_GAMES = {
+    "deterministic": lambda: games.random_deterministic_game(
+        seed=3, n_states=5, n=2, m=2, actions_per_agent=3, gamma=0.9
+    ),
+    "stochastic": lambda: games.random_tabular_game(
+        seed=4, n_states=5, n=2, m=2, actions_per_agent=3, gamma=0.9
+    ),
+    # integer payoffs over heterogeneous action counts: many argmin-max ties
+    "tied": lambda: games.matrix_team_game(
+        np.random.default_rng(5).integers(-1, 2, size=(2, 3, 2)).astype(float), 2, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("kind", sorted(OPERATOR_GAMES))
+def test_operator_matches_the_per_state_reference_bit_for_bit(kind, repeats, dtype):
+    game = OPERATOR_GAMES[kind]()
+    rng = np.random.default_rng(repeats)
+    dataset = TabularDataset.full_coverage(game, rng, repeats=repeats)
+    dataset = dataclasses.replace(dataset, done=rng.random(len(dataset)) < 0.2)
+    # the first sweep reads the summation mixer of random individual tables
+    fq = TabularFactorizedQ(
+        game,
+        [rng.normal(size=(game.n_states, c)) for c in game.pro_action_counts],
+        [rng.normal(size=(game.n_states, c)) for c in game.ant_action_counts],
+    )
+    for sweep in range(5):
+        if sweep == 1:
+            fq.q_tot = fq.q_tot.astype(dtype)
+        got, want = exact_operator_apply(fq, dataset), reference_operator(fq, dataset)
+        assert got.q_tot.dtype == want.q_tot.dtype
+        assert np.array_equal(got.q_tot, want.q_tot)
+        assert value_bytes(got.q_tot) == value_bytes(want.q_tot)
+        for mine, ref in zip(got.pro_tables + got.ant_tables, want.pro_tables + want.ant_tables):
+            assert mine.tobytes() == ref.tobytes()
+        fq = got
+
+
+def test_one_dataset_keeps_a_cell_plan_per_game_shape(det_game):
+    dataset = TabularDataset.full_coverage(det_game)
+    wider = games.random_deterministic_game(seed=12, n_states=5, n=2, m=2, actions_per_agent=2, gamma=0.9)
+    first = exact_operator_apply(TabularFactorizedQ.zeros(det_game), dataset)
+    for _ in range(2):
+        with pytest.raises(learner.CoverageError) as err:
+            exact_operator_apply(TabularFactorizedQ.zeros(wider), dataset)
+        assert sorted({s for s, _, _ in err.value.missing}) == [4]
+        assert len(err.value.missing) == 16
+    assert list(dataset._plans) == [det_game.R.shape]
+    again = exact_operator_apply(TabularFactorizedQ.zeros(det_game), dataset)
+    assert again.q_tot.tobytes() == first.q_tot.tobytes()
+    # a game of the same shape reuses the plan under its own gamma
+    same_shape = games.random_deterministic_game(seed=13, n_states=4, n=2, m=2, actions_per_agent=2, gamma=0.5)
+    fq = TabularFactorizedQ.zeros(same_shape)
+    fq.q_tot = np.random.default_rng(6).normal(size=same_shape.R.shape)
+    assert exact_operator_apply(fq, dataset).q_tot.tobytes() == reference_operator(fq, dataset).q_tot.tobytes()
+
+
+@pytest.mark.skipif(not X87_PADDED, reason="longdouble has no padding bytes here")
+def test_longdouble_sweep_writes_zero_padding():
+    game = OPERATOR_GAMES["deterministic"]()
+    dataset = TabularDataset.full_coverage(game)
+    fq = TabularFactorizedQ.zeros(game)
+    fq.q_tot = np.zeros(game.R.shape, dtype=np.longdouble)
+    # freed nonzero blocks of the table's size and larger for malloc to hand back
+    blocks = [np.full(n, 1.2345) for n in [game.R.size * 2] * 8 + [4 * 2**20 // 8]]
+    del blocks
+    sweeps = [exact_operator_apply(fq, dataset).q_tot for _ in range(2)]
+    for q in sweeps:
+        padding = np.ascontiguousarray(q).view(np.uint8).reshape(-1, q.itemsize)[:, 10:]
+        assert not padding.any()
+    assert sweeps[0].tobytes() == sweeps[1].tobytes()
 
 
 def test_operator_is_a_contraction_on_random_table_pairs(det_game):
